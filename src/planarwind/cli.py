@@ -230,6 +230,10 @@ def _parse_resolution(text: str) -> dict:
 
 
 def _cmd_optimize(args) -> int:
+    if args.restarts < 1:
+        raise UsageError(f"--restarts must be >= 1, got {args.restarts}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.problem == "default":
         problem = default_problem()
     else:

@@ -175,7 +175,12 @@ def feasible(
 
 @dataclass(frozen=True)
 class RestartRecord:
-    """One local search: start, converged point, value if feasible."""
+    """One local search: start, converged point, value if feasible.
+
+    For an N_T that :func:`maximize` skips because no point of the box can
+    be feasible at it, the record runs no search: point equals start,
+    value is None and feasible is False.
+    """
 
     n_turns: int
     index: int
@@ -238,37 +243,75 @@ def _box(problem: OptimizationProblem) -> tuple[np.ndarray, np.ndarray]:
 
 def _objective(problem: OptimizationProblem, nt: int):
     c = problem.coefficients
+    # d(-log10 L) = -d(ln L) / ln 10.
+    scale = -1.0 / math.log(10.0)
+    dd_ds = -(2.0 * nt - 2.0)
 
     def negative_log_inductance(x):
+        """Value and exact gradient of -log10 L at x = (D1, D2, w, s)."""
         D1 = max(x[0], _TINY)
         D2 = max(x[1], _TINY)
         w = max(x[2], _TINY)
         s = max(x[3], _TINY)
         # Clamps keep the value defined at infeasible iterates; the linear
         # d constraints pull the solver back regardless.
-        d1 = max(D1 - 2.0 * nt * (w + s) + 2.0 * s, _TINY)
-        d2 = max(D2 - 2.0 * nt * (w + s) + 2.0 * s, _TINY)
+        raw1 = D1 - 2.0 * nt * (w + s) + 2.0 * s
+        raw2 = D2 - 2.0 * nt * (w + s) + 2.0 * s
+        d1 = max(raw1, _TINY)
+        d2 = max(raw2, _TINY)
         L = inductance_from_dims(
             D1, D2, d1, d2, w, s, nt, problem.n_layers, problem.layer_gap, coefficients=c
         )
-        return -math.log10(L)
+        # ln L = a1 ln D1 + a2 ln D2 + a3 ln(D1 + d1) + a4 ln(D2 + d2)
+        # + a5 ln w + a6 ln s + const, where d_i follows D_i, w and s
+        # unless its clamp holds it at _TINY.  A clamped input has zero
+        # derivative, and so has everything that reaches x through it.
+        m1 = c.a3 / (D1 + d1)
+        m2 = c.a4 / (D2 + d2)
+        k1 = m1 if raw1 > _TINY else 0.0
+        k2 = m2 if raw2 > _TINY else 0.0
+        inner = k1 + k2
+        grad = np.array([
+            c.a1 / D1 + m1 + k1 if x[0] > _TINY else 0.0,
+            c.a2 / D2 + m2 + k2 if x[1] > _TINY else 0.0,
+            c.a5 / w - 2.0 * nt * inner if x[2] > _TINY else 0.0,
+            c.a6 / s + dd_ds * inner if x[3] > _TINY else 0.0,
+        ])
+        return -math.log10(L), scale * grad
 
     return negative_log_inductance
 
 
-def _constraints(problem: OptimizationProblem, nt: int) -> list:
+def _linear_system(problem: OptimizationProblem, nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows A and floors b of the linear constraints A x >= b at fixed N_T.
+
+    Rows, on x = (D1, D2, w, s): d1 lower and upper, d2 lower and upper,
+    then D2 - D1.  The floors are the ones :func:`feasible` applies; the
+    last is 0, and the solver adds ``_STRICT_MARGIN`` to it.
+    """
     b = problem.bounds
-    # d_i = D_i - 2*nt*w - (2*nt - 2)*s is linear in x = (D1, D2, w, s).
-    rows = []
-    for i, key in ((0, "d1"), (1, "d2")):
-        coeff = np.zeros(4)
-        coeff[i] = 1.0
-        coeff[2] = -2.0 * nt
-        coeff[3] = -(2.0 * nt - 2.0)
-        rows.append({"type": "ineq", "fun": (lambda x, c=coeff, lo=b[key][0]: c @ x - lo)})
-        rows.append({"type": "ineq", "fun": (lambda x, c=coeff, hi=b[key][1]: hi - c @ x)})
-    rows.append({"type": "ineq", "fun": lambda x: x[1] - x[0] - _STRICT_MARGIN})
-    return rows
+    # d_i = D_i - 2*nt*w - (2*nt - 2)*s is linear in x.
+    turns = (-2.0 * nt, -(2.0 * nt - 2.0))
+    d1 = np.array([1.0, 0.0, *turns])
+    d2 = np.array([0.0, 1.0, *turns])
+    A = np.array([d1, -d1, d2, -d2, [-1.0, 1.0, 0.0, 0.0]])
+    floor = np.array([b["d1"][0], -b["d1"][1], b["d2"][0], -b["d2"][1], 0.0])
+    return A, floor
+
+
+def _provably_empty(A: np.ndarray, floor: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """True only if some row of A x >= floor fails at every x in [lo, hi].
+
+    A row's maximum over the box sits at the corner that takes hi where
+    the row's coefficient is positive and lo elsewhere.  The row max is
+    rounded, and so is the d_i that :func:`feasible` computes, so a row
+    counts as violated only when it misses its floor by more than a
+    relative 1e-12 of the magnitudes involved; that keeps the verdict
+    sound under rounding.
+    """
+    row_max = np.where(A > 0.0, A * hi, A * lo).sum(axis=1)
+    magnitude = (np.abs(A) * np.maximum(np.abs(lo), np.abs(hi))).sum(axis=1) + np.abs(floor)
+    return bool(np.any(row_max < floor - 1e-12 * magnitude))
 
 
 def _better(value, point, best_value, best_point) -> bool:
@@ -290,6 +333,15 @@ def maximize(
     to an incumbent in a fixed order with a lexicographic tie-break, so
     the outcome does not depend on evaluation order.
 
+    SLSQP gets exact derivatives: the gradient of -log10 L in closed form
+    (zero in any coordinate a _TINY clamp holds), and the constant matrix
+    of the linear constraints A x >= b on the inner sides and D1 < D2.
+    Before its restarts, an N_T is skipped when some row of A x >= b
+    misses its floor everywhere in the box, which proves that no point
+    :func:`feasible` accepts exists at it.  A skipped N_T still logs one
+    record per restart index, with the seeded start as its point, no value
+    and feasible False, so restarts_run and the prefix property hold.
+
     Returns a result with feasible_found False if no restart produced a
     feasible point.
     """
@@ -298,16 +350,26 @@ def maximize(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     lo, hi = _box(problem)
+    bounds = list(zip(lo, hi))
     records = []
     best_value = None
     best_point = None
     for nt in problem.NT_domain:
         objective = _objective(problem, nt)
-        constraints = _constraints(problem, nt)
-        bounds = list(zip(lo, hi))
+        A, floor = _linear_system(problem, nt)
+        rhs = floor + np.array([0.0, 0.0, 0.0, 0.0, _STRICT_MARGIN])
+        constraints = {"type": "ineq", "fun": lambda x, A=A, rhs=rhs: A @ x - rhs,
+                       "jac": lambda x, A=A: A}
+        empty = _provably_empty(A, floor, lo, hi)
         for index in range(restarts):
             rng = np.random.default_rng([seed, nt, index])
             start = rng.uniform(lo, hi)
+            if empty:
+                point = tuple(float(v) for v in start)
+                records.append(RestartRecord(
+                    n_turns=nt, index=index, start=point, point=point, value=None, feasible=False,
+                ))
+                continue
             with warnings.catch_warnings():
                 warnings.filterwarnings(
                     "ignore", message="Values in x were outside bounds"
@@ -315,6 +377,7 @@ def maximize(
                 result = minimize(
                     objective,
                     start,
+                    jac=True,
                     method="SLSQP",
                     bounds=bounds,
                     constraints=constraints,

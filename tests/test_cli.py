@@ -339,9 +339,13 @@ class TestOptimize:
         assert code == 3 and "missing" in err
 
     def test_bad_restart_count(self, capsys, tmp_path):
-        code, _, err = run(capsys, "optimize", "--problem", "default",
-                           "--restarts", "0", "--out", str(tmp_path / "x.json"))
-        assert code == 3 and "restarts" in err
+        # Bad search flags are usage errors, not bad input files.
+        for flag, value in (("--restarts", "0"), ("--seed", "-1")):
+            out = tmp_path / "x.json"
+            code, _, err = run(capsys, "optimize", "--problem", "default",
+                               flag, value, "--out", str(out))
+            assert code == 2 and flag in err
+            assert not out.exists()
 
 
 class TestDeterminism:

@@ -1,17 +1,24 @@
+import itertools
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from planarwind import (
     DEFAULT_COEFFICIENTS,
+    CoefficientSet,
     InfeasibleProblemError,
     OptimizationProblem,
     brute_force_max,
     default_problem,
     feasible,
     inductance,
+    inductance_from_dims,
     maximize,
 )
+from planarwind.optimizer import _TINY, _box, _linear_system, _objective, _provably_empty
 from planarwind.units import m_to_mm, mm_to_m
 
 
@@ -211,6 +218,16 @@ class TestMaximize:
         result = maximize(p, restarts=2, seed=3)
         assert result.restarts_run == len(p.NT_domain) * 2
         assert len(result.restarts) == result.restarts_run
+        # N_T = 9 and 10 cannot fit this box, so they run no local search:
+        # each record keeps its seeded start as its point.
+        lo, hi = _box(p)
+        for nt in (9, 10):
+            records = [r for r in result.restarts if r.n_turns == nt]
+            assert [r.index for r in records] == [0, 1]
+            for r in records:
+                assert not r.feasible and r.value is None
+                assert r.point == r.start
+                assert r.start == tuple(np.random.default_rng([3, nt, r.index]).uniform(lo, hi))
 
     def test_collapsed_box_returns_its_point(self):
         p = small_problem(
@@ -298,3 +315,102 @@ class TestResultSerialization:
         assert mapping["best"] is None
         assert mapping["L_best_uH"] is None
         assert mapping["restarts"][0]["L_uH"] is None
+
+
+def _parent_objective(problem, nt, x):
+    # The objective value as computed before gradients were added; the
+    # value half of _objective must reproduce it bit for bit.
+    D1 = max(x[0], _TINY)
+    D2 = max(x[1], _TINY)
+    w = max(x[2], _TINY)
+    s = max(x[3], _TINY)
+    d1 = max(D1 - 2.0 * nt * (w + s) + 2.0 * s, _TINY)
+    d2 = max(D2 - 2.0 * nt * (w + s) + 2.0 * s, _TINY)
+    L = inductance_from_dims(
+        D1, D2, d1, d2, w, s, nt, problem.n_layers, problem.layer_gap,
+        coefficients=problem.coefficients,
+    )
+    return -math.log10(L)
+
+
+_exponent = st.floats(-3.0, 3.0)
+_coefficient_sets = st.builds(
+    CoefficientSet,
+    a0=st.floats(0.1, 10.0),
+    **{f"a{i}": _exponent for i in range(1, 10)},
+)
+# Fractions of the default box per coordinate; outside [0, 1] the point
+# leaves the box, and far enough out the _TINY clamps engage.
+_fractions = st.tuples(*[st.floats(-1.5, 2.0)] * 4)
+
+
+@given(coefficients=_coefficient_sets, nt=st.integers(1, 12),
+       n_layers=st.integers(1, 4), t=_fractions)
+@example(coefficients=DEFAULT_COEFFICIENTS, nt=8, n_layers=4, t=(1.0, 1.0, 0.0, 0.0))
+@example(coefficients=DEFAULT_COEFFICIENTS, nt=8, n_layers=4, t=(0.5, 0.5, -1.5, 0.5))
+@example(coefficients=DEFAULT_COEFFICIENTS, nt=12, n_layers=1, t=(-1.5, 0.2, 1.0, 1.0))
+def test_objective_gradient_matches_central_differences(coefficients, nt, n_layers, t):
+    base = default_problem()
+    problem = OptimizationProblem(
+        base.bounds, (nt,), n_layers, base.layer_gap if n_layers > 1 else None, coefficients
+    )
+    lo, hi = _box(problem)
+    x = lo + np.array(t) * (hi - lo)
+    h = 1e-8  # m
+    # Keep every clamp boundary out of reach of the difference stencil,
+    # and unclamped lengths long enough for the stencil to resolve.
+    clamped = np.maximum(x, _TINY)
+    raws = clamped[:2] - 2.0 * nt * (clamped[2] + clamped[3]) + 2.0 * clamped[3]
+    assume(all(v <= _TINY - 1e-6 or v >= 1e-4 for v in x))
+    assume(all(abs(v - _TINY) > 1e-6 for v in raws))
+
+    objective = _objective(problem, nt)
+    value, grad = objective(x)
+    assert value == _parent_objective(problem, nt, x)
+    for i in range(4):
+        step = np.zeros(4)
+        step[i] = h
+        central = (objective(x + step)[0] - objective(x - step)[0]) / (2.0 * h)
+        assert grad[i] == pytest.approx(central, rel=1e-6, abs=1e-5)
+        if x[i] <= _TINY:
+            assert grad[i] == 0.0
+
+
+@given(
+    D1=st.tuples(st.integers(1, 1000), st.integers(0, 500)),
+    D2=st.tuples(st.integers(1, 1000), st.integers(0, 500)),
+    d1=st.tuples(st.integers(0, 1000), st.integers(0, 500)),
+    d2=st.tuples(st.integers(0, 1000), st.integers(0, 500)),
+    w=st.tuples(st.integers(1, 50), st.integers(0, 30)),
+    s=st.tuples(st.integers(1, 10), st.integers(0, 10)),
+    nt=st.integers(1, 15),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Here d1 meets its floor exactly at the corner (30, 41, 1, 0.5 mm) that
+# feasible() accepts, while the rounded row maximum falls just below it.
+@example(D1=(200, 100), D2=(310, 100), d1=(250, 50), d2=(0, 500),
+         w=(10, 10), s=(5, 5), nt=2, seed=0)
+def test_emptiness_check_is_sound(D1, D2, d1, d2, w, s, nt, seed):
+    # Bounds are whole tenths of a mm, so a box edge often meets a
+    # constraint floor exactly, which is where rounding could mislead.
+    pairs = {"D1": D1, "D2": D2, "d1": d1, "d2": d2, "w": w, "s": s}
+    bounds = {key: (mm_to_m(lower / 10.0), mm_to_m((lower + width) / 10.0))
+              for key, (lower, width) in pairs.items()}
+    problem = OptimizationProblem(bounds, (nt,), 1, None)
+    lo, hi = _box(problem)
+    if not _provably_empty(*_linear_system(problem, nt), lo, hi):
+        return
+    with pytest.raises(InfeasibleProblemError):
+        brute_force_max(problem, {"D1": 1.0e-3, "D2": 1.0e-3, "w": 0.5e-3, "s": 0.3e-3})
+    corners = [np.where(mask, hi, lo) for mask in itertools.product((False, True), repeat=4)]
+    points = np.vstack([corners, np.random.default_rng(seed).uniform(lo, hi, size=(200, 4))])
+    for D1_, D2_, w_, s_ in points:
+        ok, _, _ = feasible((D1_, D2_, w_, s_, nt), problem)
+        assert not ok
+
+
+def test_default_problem_skips_only_nine_and_ten_turns():
+    p = default_problem()
+    lo, hi = _box(p)
+    skipped = [nt for nt in p.NT_domain if _provably_empty(*_linear_system(p, nt), lo, hi)]
+    assert skipped == [9, 10]
