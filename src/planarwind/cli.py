@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,6 +64,17 @@ _BUILTIN_SPECS = {"A": dataset_a_spec, "B": dataset_b_spec, "C": dataset_c_spec}
 
 class UsageError(Exception):
     """Bad flag combination or value, reported as a usage error."""
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a numeric flag; argparse names the flag on error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _write_json(path, mapping) -> None:
@@ -223,9 +235,12 @@ def _parse_resolution(text: str) -> dict:
                 f"bad --resolution entry {item!r}, keys are D1, D2, w, s (values in mm)"
             )
         try:
-            steps[key] = mm_to_m(float(value))
+            step = float(value)
         except ValueError:
             raise UsageError(f"bad --resolution value in {item!r}") from None
+        if not math.isfinite(step):
+            raise UsageError(f"bad --resolution value in {item!r}, must be finite")
+        steps[key] = mm_to_m(step)
     return steps
 
 
@@ -283,13 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     est = commands.add_parser("estimate", help="estimate one winding's inductance")
-    est.add_argument("--D1", type=float, required=True, metavar="MM", help="outer side 1")
-    est.add_argument("--D2", type=float, required=True, metavar="MM", help="outer side 2")
-    est.add_argument("--w", type=float, required=True, metavar="MM", help="trace width")
-    est.add_argument("--s", type=float, required=True, metavar="MM", help="turn spacing")
+    est.add_argument("--D1", type=_finite_float, required=True, metavar="MM", help="outer side 1")
+    est.add_argument("--D2", type=_finite_float, required=True, metavar="MM", help="outer side 2")
+    est.add_argument("--w", type=_finite_float, required=True, metavar="MM", help="trace width")
+    est.add_argument("--s", type=_finite_float, required=True, metavar="MM", help="turn spacing")
     est.add_argument("--NT", type=int, required=True, help="turns per layer")
     est.add_argument("--NL", type=int, required=True, help="number of layers")
-    est.add_argument("--O", type=float, default=None, metavar="MM",
+    est.add_argument("--O", type=_finite_float, default=None, metavar="MM",
                      help="layer gap, required for --NL >= 2")
     est.add_argument("--model", choices=["full", "simplified", "square", "mohan"],
                      default="full", help="which estimate to print (default full)")
@@ -306,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--out", required=True, metavar="FILE", help="output CSV")
     grid.add_argument("--labels", default=None, metavar="FILE",
                       help="label with this coefficient JSON (or 'default')")
-    grid.add_argument("--noise", type=float, default=0.0,
+    grid.add_argument("--noise", type=_finite_float, default=0.0,
                       help="log10 noise sigma for labels (default 0)")
     grid.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
     grid.set_defaults(func=_cmd_grid)
@@ -316,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="geometry CSV")
     synth.add_argument("--coeffs", required=True, metavar="FILE",
                        help="coefficient JSON (or 'default')")
-    synth.add_argument("--noise", type=float, default=0.0,
+    synth.add_argument("--noise", type=_finite_float, default=0.0,
                        help="log10 noise sigma (default 0)")
     synth.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
     synth.add_argument("--out", required=True, metavar="FILE", help="output CSV")
@@ -325,16 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     fit = commands.add_parser("fit", help="fit model coefficients to labeled samples")
     fit.add_argument("--in", dest="input", required=True, metavar="FILE",
                      help="labeled sample CSV")
-    fit.add_argument("--fraction", type=float, default=0.8,
+    fit.add_argument("--fraction", type=_finite_float, default=0.8,
                      help="training fraction (default 0.8)")
     fit.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
     fit.add_argument("--repeats", type=int, default=1,
                      help="fits with derived seeds; coefficients come from the first")
     fit.add_argument("--out", required=True, metavar="FILE", help="coefficient JSON")
     fit.add_argument("--report", default=None, metavar="FILE", help="report JSON")
-    fit.add_argument("--threshold", type=float, default=5.0,
+    fit.add_argument("--threshold", type=_finite_float, default=5.0,
                      help="exceedance threshold, percent (default 5)")
-    fit.add_argument("--bin-width", type=float, default=0.5,
+    fit.add_argument("--bin-width", type=_finite_float, default=0.5,
                      help="histogram bin width, percent (default 0.5)")
     fit.set_defaults(func=_cmd_fit)
 
@@ -343,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="labeled sample CSV")
     ev.add_argument("--coeffs", required=True, metavar="FILE",
                     help="coefficient JSON (or 'default')")
-    ev.add_argument("--threshold", type=float, default=5.0,
+    ev.add_argument("--threshold", type=_finite_float, default=5.0,
                     help="exceedance threshold, percent (default 5)")
-    ev.add_argument("--bin-width", type=float, default=0.5,
+    ev.add_argument("--bin-width", type=_finite_float, default=0.5,
                     help="histogram bin width, percent (default 0.5)")
     ev.add_argument("--report", required=True, metavar="FILE", help="report JSON")
     ev.add_argument("--hist", default=None, metavar="FILE",

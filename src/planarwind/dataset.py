@@ -79,8 +79,8 @@ class GridSpec:
             values = getattr(self, name)
             if len(values) == 0:
                 raise ValueError(f"{name} must not be empty")
-            if any(v <= 0 for v in values):
-                raise ValueError(f"{name} must be positive, got {values}")
+            if not all(0 < v < math.inf for v in values):
+                raise ValueError(f"{name} must be positive and finite, got {values}")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} contains duplicates: {values}")
         for name in ("NT_values", "NL_values"):
@@ -91,14 +91,14 @@ class GridSpec:
                 raise ValueError(f"{name} must be >= 1, got {values}")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} contains duplicates: {values}")
-        if any(v <= 0 for v in self.O_values):
-            raise ValueError(f"O_values must be positive, got {self.O_values}")
+        if not all(0 < v < math.inf for v in self.O_values):
+            raise ValueError(f"O_values must be positive and finite, got {self.O_values}")
         if len(set(self.O_values)) != len(self.O_values):
             raise ValueError(f"O_values contains duplicates: {self.O_values}")
         if max(self.NL_values) >= 2 and len(self.O_values) == 0:
             raise ValueError("O_values must not be empty when NL_values includes multilayer counts")
-        if self.min_inner < 0:
-            raise ValueError(f"min_inner must be >= 0, got {self.min_inner}")
+        if not 0 <= self.min_inner < math.inf:
+            raise ValueError(f"min_inner must be >= 0 and finite, got {self.min_inner}")
 
     def to_mapping(self) -> dict:
         return {
@@ -245,8 +245,8 @@ def split_train_eval(samples: Sequence, fraction: float, seed: int) -> SplitAssi
             f"(n_train would be {n_train})"
         )
     order = np.random.default_rng(seed).permutation(n)
-    train = tuple(sorted(int(i) for i in order[:n_train]))
-    eval_ = tuple(sorted(int(i) for i in order[n_train:]))
+    train = tuple(np.sort(order[:n_train]).tolist())
+    eval_ = tuple(np.sort(order[n_train:]).tolist())
     return SplitAssignment(train=train, eval=eval_, seed=seed, fraction=fraction)
 
 
@@ -345,15 +345,20 @@ def _parse_int(path, line: int, name: str, text: str) -> int:
 
 
 def _parse_geometry(path, line: int, row: Sequence[str]) -> WindingGeometry:
-    D1 = _parse_float(path, line, "D1_mm", row[0])
-    D2 = _parse_float(path, line, "D2_mm", row[1])
-    d1 = _parse_float(path, line, "d1_mm", row[2])
-    d2 = _parse_float(path, line, "d2_mm", row[3])
-    w = _parse_float(path, line, "w_mm", row[4])
-    s = _parse_float(path, line, "s_mm", row[5])
-    nt = _parse_int(path, line, "N_T", row[6])
-    nl = _parse_int(path, line, "N_L", row[7])
-    gap_text = row[8]
+    # float() and int() skip surrounding whitespace, so numeric cells are
+    # converted as read.  Only when a conversion fails are the cells parsed
+    # one by one, to name the bad field.
+    try:
+        D1, D2, d1, d2, w, s = map(float, row[:6])
+        nt, nl = int(row[6]), int(row[7])
+    except ValueError:
+        D1, D2, d1, d2, w, s = (
+            _parse_float(path, line, name, text.strip())
+            for name, text in zip(CSV_HEADER, row[:6])
+        )
+        nt = _parse_int(path, line, "N_T", row[6].strip())
+        nl = _parse_int(path, line, "N_L", row[7].strip())
+    gap_text = row[8].strip()
     if nl == 1 and gap_text != "":
         raise SampleFileError(path, line, f"O_mm must be empty for a single-layer row, got {gap_text!r}")
     if nl >= 2 and gap_text == "":
@@ -367,7 +372,8 @@ def _parse_geometry(path, line: int, row: Sequence[str]) -> WindingGeometry:
     except GeometryError as exc:
         raise SampleFileError(path, line, str(exc)) from None
     for name, given, derived in (("d1_mm", d1, geometry.d1), ("d2_mm", d2, geometry.d2)):
-        if abs(given - m_to_mm(derived)) > _D_TOLERANCE_MM:
+        # Written so that a NaN or infinite inner side fails too.
+        if not abs(given - m_to_mm(derived)) <= _D_TOLERANCE_MM:
             raise SampleFileError(
                 path, line,
                 f"{name}={given} does not match the value derived from the "
@@ -394,25 +400,26 @@ def _read_rows(path: Union[str, Path]):
                 raise SampleFileError(
                     path, line, f"expected {len(CSV_HEADER)} fields, got {len(row)}"
                 )
-            yield line, [cell.strip() for cell in row]
+            yield line, row
 
 
 def read_csv(path: Union[str, Path]) -> list[Sample]:
     """Read labeled samples from CSV, converting to SI.
 
-    Every row must carry a positive label and a known source; inner sides
-    are cross-checked against the derivation within 1 um.  Errors report
-    the offending line number.
+    Every row must carry a positive label and a known source, and every
+    number must be finite; inner sides are cross-checked against the
+    derivation within 1 um.  Errors report the offending line number.
     """
     samples = []
     for line, row in _read_rows(path):
         geometry = _parse_geometry(path, line, row)
-        if row[9] == "":
+        label = row[9].strip()
+        if label == "":
             raise SampleFileError(path, line, "missing label L_uH")
-        L_uH = _parse_float(path, line, "L_uH", row[9])
+        L_uH = _parse_float(path, line, "L_uH", label)
         if not (L_uH > 0.0 and math.isfinite(L_uH)):
             raise SampleFileError(path, line, f"L_uH must be positive and finite, got {L_uH}")
-        source = row[10]
+        source = row[10].strip()
         if source not in SOURCES:
             raise SampleFileError(
                 path, line, f"source must be one of {', '.join(SOURCES)}, got {source!r}"

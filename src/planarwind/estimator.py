@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .geometry import (
     GeometryError,
@@ -106,19 +106,10 @@ DEFAULT_COEFFICIENTS = CoefficientSet(
     label="default",
 )
 
-ArrayLike = Union[float, "object"]
-
-
 def inductance_from_dims(
-    D1: ArrayLike,
-    D2: ArrayLike,
-    d1: ArrayLike,
-    d2: ArrayLike,
-    w: ArrayLike,
-    s: ArrayLike,
-    n_turns: ArrayLike,
+    D1, D2, d1, d2, w, s, n_turns,
     n_layers: int,
-    layer_gap: Optional[ArrayLike] = None,
+    layer_gap=None,
     coefficients: CoefficientSet = DEFAULT_COEFFICIENTS,
 ):
     """Monomial model on raw dimensions, without validation.

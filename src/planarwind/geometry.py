@@ -14,6 +14,8 @@ happens at file and CLI boundaries only (see :mod:`planarwind.units`).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,11 +49,13 @@ def derive_inner_side(D: float, n_turns: int, w: float, s: float) -> float:
         The inner side length d = D - 2*n_turns*(w+s) + 2*s, in meters.
 
     Raises:
-        GeometryError: if any length is nonpositive or n_turns < 1.
+        GeometryError: if any length is nonpositive or not finite, or
+            n_turns < 1.
         InfeasibleGeometryError: if the turns do not fit (d <= 0).
     """
-    if D <= 0.0 or w <= 0.0 or s <= 0.0:
-        raise GeometryError(f"lengths must be positive, got D={D}, w={w}, s={s}")
+    # Chained comparisons are False for NaN, so NaN fails too.
+    if not (0.0 < D < math.inf and 0.0 < w < math.inf and 0.0 < s < math.inf):
+        raise GeometryError(f"lengths must be positive and finite, got D={D}, w={w}, s={s}")
     if n_turns < 1:
         raise GeometryError(f"n_turns must be >= 1, got {n_turns}")
     d = D - 2.0 * n_turns * (w + s) + 2.0 * s
@@ -71,12 +75,15 @@ class WindingGeometry:
         D1, D2: outer side lengths (m), canonical orientation D1 <= D2.
         w: trace width (m).
         s: turn spacing (m).
-        n_turns: turns per layer.
-        n_layers: number of stacked layers.
+        n_turns: turns per layer, an integer (not a bool).
+        n_layers: number of stacked layers, an integer (not a bool).
         layer_gap: separation between consecutive layers (m).  Required for
             n_layers >= 2.  A single-layer winding has no gap; a value passed
             with n_layers == 1 is dropped so equal windings compare equal.
         d1, d2: inner side lengths (m), derived.  Not constructor arguments.
+
+    Every length must be positive and finite; NaN and infinity raise
+    GeometryError, as does a count that is not an integer.
     """
 
     D1: float
@@ -90,6 +97,12 @@ class WindingGeometry:
     d2: float = field(init=False)
 
     def __post_init__(self) -> None:
+        # Plain ints skip the slow ABC check.  bool is an int subclass, and
+        # is refused.
+        if type(self.n_turns) is not int or type(self.n_layers) is not int:
+            for name, count in (("n_turns", self.n_turns), ("n_layers", self.n_layers)):
+                if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+                    raise GeometryError(f"{name} must be an integer, got {count!r}")
         if self.n_layers < 1:
             raise GeometryError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.D1 > self.D2:
@@ -104,8 +117,10 @@ class WindingGeometry:
                 raise IncompleteGeometryError(
                     f"layer_gap is required for n_layers={self.n_layers}"
                 )
-            if self.layer_gap <= 0.0:
-                raise GeometryError(f"layer_gap must be positive, got {self.layer_gap}")
+            if not 0.0 < self.layer_gap < math.inf:
+                raise GeometryError(
+                    f"layer_gap must be positive and finite, got {self.layer_gap}"
+                )
         object.__setattr__(self, "d1", derive_inner_side(self.D1, self.n_turns, self.w, self.s))
         object.__setattr__(self, "d2", derive_inner_side(self.D2, self.n_turns, self.w, self.s))
 

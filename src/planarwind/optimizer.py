@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .estimator import DEFAULT_COEFFICIENTS, CoefficientSet, inductance, inductance_from_dims
 from .geometry import WindingGeometry
@@ -60,6 +59,8 @@ class OptimizationProblem:
             raise ValueError(f"bounds missing for {', '.join(missing)}")
         for key in BOUND_KEYS:
             lo, hi = self.bounds[key]
+            if not hi < math.inf:
+                raise ValueError(f"upper bound for {key} must be finite, got {hi}")
             if not lo <= hi:
                 raise ValueError(f"bounds for {key} are inverted: ({lo}, {hi})")
             if key in ("d1", "d2"):
@@ -76,8 +77,10 @@ class OptimizationProblem:
             raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.n_layers == 1:
             object.__setattr__(self, "layer_gap", None)
-        elif self.layer_gap is None or self.layer_gap <= 0:
-            raise ValueError(f"a positive layer_gap is required for n_layers={self.n_layers}")
+        elif self.layer_gap is None or not 0 < self.layer_gap < math.inf:
+            raise ValueError(
+                f"a positive, finite layer_gap is required for n_layers={self.n_layers}"
+            )
 
     def to_mapping(self) -> dict:
         # Bounds are authored in mm; rounding to 1e-9 mm strips the
@@ -349,6 +352,10 @@ def maximize(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    # Imported here: scipy.optimize takes longer to import than the rest
+    # of the command line, and only this search needs it.
+    from scipy.optimize import minimize
+
     lo, hi = _box(problem)
     bounds = list(zip(lo, hi))
     records = []

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Sample, split_train_eval
-from .estimator import COEFFICIENT_NAMES, MU0, CoefficientSet, inductance
+from .estimator import COEFFICIENT_NAMES, MU0, CoefficientSet, inductance, inductance_from_dims
 
 FEATURE_NAMES = (
     "intercept",
@@ -48,56 +48,57 @@ class RankDeficiencyError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class DesignRow:
-    """One winding as a regression row: logged features and response."""
+class _Columns:
+    """The fields of a list of samples, each pulled out once as a list.
 
-    x1: float  # log10 D1
-    x2: float  # log10 D2
-    x3: float  # log10 Dbar1
-    x4: float  # log10 Dbar2
-    x5: float  # log10 w
-    x6: float  # log10 s
-    x7: float  # log10 N_T
-    x8: float  # log10 N_L
-    x9: float  # (N_L - 1) * log10 O, exactly 0 for a single layer
-    y: float   # log10 L_ref
+    Lists of floats, not per-row tuples: floats are not tracked by the
+    garbage collector, so building these triggers no collections over the
+    samples still alive.
+    """
 
-
-def design_row(sample: Sample) -> DesignRow:
-    """Logged features and response for one labeled winding."""
-    g = sample.geometry
-    if g.n_layers == 1:
-        x9 = 0.0
-    else:
-        x9 = (g.n_layers - 1) * math.log10(g.layer_gap)
-    return DesignRow(
-        x1=math.log10(g.D1),
-        x2=math.log10(g.D2),
-        x3=math.log10((g.D1 + g.d1) / 2.0),
-        x4=math.log10((g.D2 + g.d2) / 2.0),
-        x5=math.log10(g.w),
-        x6=math.log10(g.s),
-        x7=math.log10(g.n_turns),
-        x8=math.log10(g.n_layers),
-        x9=x9,
-        y=math.log10(sample.L_ref),
-    )
+    def __init__(self, samples: Sequence[Sample]):
+        geometries = [sample.geometry for sample in samples]
+        self.D1 = [g.D1 for g in geometries]
+        self.D2 = [g.D2 for g in geometries]
+        self.d1 = [g.d1 for g in geometries]
+        self.d2 = [g.d2 for g in geometries]
+        self.w = [g.w for g in geometries]
+        self.s = [g.s for g in geometries]
+        self.NT = [g.n_turns for g in geometries]
+        self.NL = [g.n_layers for g in geometries]
+        self.gap = [g.layer_gap for g in geometries]
+        self.L_ref = [sample.L_ref for sample in samples]
 
 
 def build_design_matrix(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix (with leading intercept column) and response vector."""
+    """Design matrix (with leading intercept column) and response vector.
+
+    Row i holds, after the intercept, log10 of D1, D2, Dbar1, Dbar2, w, s,
+    N_T and N_L of sample i, then (N_L - 1) * log10(O), exactly 0 for a
+    single layer; y[i] is log10 of its label.  Logs are taken with
+    math.log10, which np.log10 does not match in the last bit.
+    """
     if len(samples) == 0:
         raise ValueError("no samples")
+    c = _Columns(samples)
+    L_ref = np.array(c.L_ref)
+    bad = np.flatnonzero(~((L_ref > 0.0) & np.isfinite(L_ref)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"sample {i}: L_ref must be positive and finite, got {c.L_ref[i]}")
+    log10 = math.log10
     X = np.empty((len(samples), len(FEATURE_NAMES)))
-    y = np.empty(len(samples))
-    for i, sample in enumerate(samples):
-        if not (sample.L_ref > 0.0 and math.isfinite(sample.L_ref)):
-            raise ValueError(f"sample {i}: L_ref must be positive and finite, got {sample.L_ref}")
-        row = design_row(sample)
-        X[i, 0] = 1.0
-        X[i, 1:] = (row.x1, row.x2, row.x3, row.x4, row.x5, row.x6, row.x7, row.x8, row.x9)
-        y[i] = row.y
+    X[:, 0] = 1.0
+    X[:, 1] = list(map(log10, c.D1))
+    X[:, 2] = list(map(log10, c.D2))
+    X[:, 3] = [log10((D + d) / 2.0) for D, d in zip(c.D1, c.d1)]
+    X[:, 4] = [log10((D + d) / 2.0) for D, d in zip(c.D2, c.d2)]
+    X[:, 5] = list(map(log10, c.w))
+    X[:, 6] = list(map(log10, c.s))
+    X[:, 7] = list(map(log10, c.NT))
+    X[:, 8] = list(map(log10, c.NL))
+    X[:, 9] = [0.0 if nl == 1 else (nl - 1) * log10(gap) for nl, gap in zip(c.NL, c.gap)]
+    y = np.array(list(map(log10, c.L_ref)))
     return X, y
 
 
@@ -220,11 +221,25 @@ def evaluate(
         raise ValueError(f"bin_width_pct must be positive, got {bin_width_pct}")
     if threshold_pct < 0.0:
         raise ValueError(f"threshold_pct must be >= 0, got {threshold_pct}")
-    errors = np.array([error_pct(sample, coefficients) for sample in samples])
-    layers = np.array([sample.geometry.n_layers for sample in samples])
+    c = _Columns(samples)
+    layers = np.array(c.NL)
+    L_model = np.empty(len(samples))
+    columns = [np.array(v) for v in (c.D1, c.D2, c.d1, c.d2, c.w, c.s, c.NT)]
+    # None (no gap, single layer) becomes NaN and is never read.
+    gaps = np.array(c.gap, dtype=float)
+    layer_counts = np.unique(layers).tolist()
+    # The kernel takes one layer count per call.
+    for nl in layer_counts:
+        rows = layers == nl
+        L_model[rows] = inductance_from_dims(
+            *(column[rows] for column in columns), nl,
+            gaps[rows] if nl > 1 else None, coefficients=coefficients,
+        )
+    L_ref = np.array(c.L_ref)
+    errors = (L_ref - L_model) / L_ref * 100.0
     exceedance = {
-        int(nl): int(np.sum((np.abs(errors) > threshold_pct) & (layers == nl)))
-        for nl in sorted(set(layers.tolist()))
+        nl: int(np.sum((np.abs(errors) > threshold_pct) & (layers == nl)))
+        for nl in layer_counts
     }
     return FitReport(
         coefficients=coefficients,

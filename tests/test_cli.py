@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planarwind
 from planarwind import DEFAULT_COEFFICIENTS, GridSpec, inductance, read_csv, read_geometry_csv
 from planarwind.cli import main
 
@@ -132,6 +137,16 @@ class TestEstimate:
         assert code == 0 and out.splitlines()[0] == "L_uH = 34.45"
         code, _, _ = run(capsys, "--units", "inch", "estimate", *self.GOLDEN)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--D1", "--D2", "--w", "--s", "--O"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_is_a_usage_error(self, capsys, flag, value):
+        args = list(self.GOLDEN)
+        index = args.index(flag)
+        args[index:index + 2] = [f"{flag}={value}"]
+        code, out, err = run(capsys, "estimate", *args)
+        assert code == 2 and out == ""
+        assert f"argument {flag}: must be finite" in err
 
 
 class TestGrid:
@@ -274,6 +289,35 @@ class TestFitAndEval:
                            "--coeffs", "default", "--report", str(tmp_path / "r.json"))
         assert code == 3
         assert ":3:" in err and "w_mm" in err
+
+    def test_non_finite_row_reports_its_line(self, capsys, tmp_path, labeled_corpus):
+        lines = labeled_corpus.read_text().splitlines()
+        fields = lines[2].split(",")
+        # Every number in the row, the counts aside; O_mm stays empty for one layer.
+        for i in (0, 1, 2, 3, 4, 5, 8, 9):
+            if fields[i] != "":
+                fields[i] = "nan"
+        lines[2] = ",".join(fields)
+        corrupt = tmp_path / "nan.csv"
+        corrupt.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "r.json"
+        code, out, err = run(capsys, "eval", "--in", str(corrupt),
+                             "--coeffs", "default", "--report", str(report))
+        assert code == 3 and out == ""
+        assert ":3:" in err and "finite" in err
+        assert not report.exists()
+
+
+def test_cli_import_leaves_the_optimizer_backend_unloaded():
+    # scipy.optimize is imported by maximize itself, so estimate, grid,
+    # fit and eval start without paying for it.
+    env = dict(os.environ, PYTHONPATH=str(Path(planarwind.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, planarwind.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestOptimize:

@@ -1,11 +1,16 @@
 import dataclasses
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from planarwind import (
     DEFAULT_COEFFICIENTS,
     GridSpec,
     Sample,
+    SOURCES,
     SampleFileError,
     WindingGeometry,
     dataset_a_spec,
@@ -59,6 +64,13 @@ class TestGridSpec:
             small_spec(O_values=(), NL_values=(1, 2))
         with pytest.raises(ValueError):
             small_spec(min_inner=-1.0)
+
+    @pytest.mark.parametrize("field", ["D1_values", "D2_values", "w_values", "s_values",
+                                       "O_values", "min_inner"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            small_spec(**{field: value if field == "min_inner" else (70.0, value)})
 
     def test_single_layer_spec_needs_no_gaps(self):
         # Two side values make three ordered (D1, D2) pairs.
@@ -272,6 +284,26 @@ class TestCsv:
         with pytest.raises(SampleFileError, match="missing label"):
             read_csv(path)
 
+    @pytest.mark.parametrize("column", [0, 1, 2, 3, 4, 5, 8, 9])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_numbers(self, tmp_path, column, value):
+        good = "70.0000,70.0000,33.0000,33.0000,3.0000,0.1000,6,2,1.0000,2.7,synthetic"
+        fields = good.split(",")
+        fields[column] = value
+        path = self._write_lines(tmp_path, good, ",".join(fields))
+        with pytest.raises(SampleFileError) as err:
+            read_csv(path)
+        assert err.value.line == 3
+
+    def test_padded_cells_read_as_unpadded(self, tmp_path):
+        plain = "70.0000,70.0000,33.0000,33.0000,3.0000,0.1000,6,2,1.0000,2.7,measured"
+        padded = ",".join(f" {cell}\t" for cell in plain.split(","))
+        assert read_csv(self._write_lines(tmp_path, padded)) == \
+            read_csv(self._write_lines(tmp_path, plain))
+        padded = padded.replace(" 3.0000\t", " three\t")
+        with pytest.raises(SampleFileError, match="w_mm is not a number: 'three'"):
+            read_csv(self._write_lines(tmp_path, padded))
+
     def test_rejects_bad_header_and_empty_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("D1,D2\n")
@@ -286,3 +318,46 @@ class TestCsv:
         write_geometry_csv(generate_grid(small_spec()), path)
         with pytest.raises(SampleFileError, match="missing label"):
             read_csv(path)
+
+
+def _mm(lo: float, hi: float):
+    """Lengths in mm with 4 decimals, the precision of the CSV format."""
+    return st.integers(round(lo * 1e4), round(hi * 1e4)).map(lambda k: k / 1e4)
+
+
+def _distinct(values, max_size):
+    return st.lists(values, min_size=1, max_size=max_size, unique=True).map(tuple)
+
+
+@given(
+    spec=st.builds(
+        GridSpec,
+        D1_values=_distinct(_mm(20.0, 200.0), 3),
+        D2_values=_distinct(_mm(20.0, 200.0), 3),
+        w_values=_distinct(_mm(0.2, 5.0), 2),
+        s_values=_distinct(_mm(0.05, 2.0), 2),
+        O_values=_distinct(_mm(0.05, 3.0), 2),
+        NT_values=_distinct(st.integers(1, 12), 3),
+        NL_values=_distinct(st.integers(1, 6), 3),
+    ),
+    noise=st.floats(0.0, 0.05),
+    seed=st.integers(0, 2**32 - 1),
+    sources=st.lists(st.sampled_from(SOURCES), min_size=1),
+)
+def test_csv_roundtrip_property(spec, noise, seed, sources):
+    geometries = generate_grid(spec)
+    assume(geometries)
+    samples = [
+        dataclasses.replace(sample, source=sources[i % len(sources)])
+        for i, sample in enumerate(synth_labels(geometries, DEFAULT_COEFFICIENTS, noise, seed))
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "samples.csv"
+        write_csv(samples, path)
+        back = read_csv(path)
+        assert read_geometry_csv(path) == geometries
+    assert [s.geometry for s in back] == geometries
+    assert [s.source for s in back] == [s.source for s in samples]
+    for original, restored in zip(samples, back):
+        # The label is written with 12 significant digits.
+        assert restored.L_ref == pytest.approx(original.L_ref, rel=1e-11)

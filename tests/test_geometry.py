@@ -1,5 +1,7 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -60,6 +62,28 @@ def test_geometry_requires_gap_for_multilayer():
         WindingGeometry(0.1, 0.1, 0.004, 0.002, 5, 2, -0.001)
     with pytest.raises(GeometryError):
         WindingGeometry(0.1, 0.1, 0.004, 0.002, 5, 0)
+
+
+_VALID = dict(D1=0.1, D2=0.1, w=0.004, s=0.002, n_turns=5, n_layers=2, layer_gap=0.0016)
+
+
+@pytest.mark.parametrize("field", ["D1", "D2", "w", "s", "layer_gap"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_geometry_rejects_non_finite_lengths(field, value):
+    with pytest.raises(GeometryError):
+        WindingGeometry(**dict(_VALID, **{field: value}))
+
+
+@pytest.mark.parametrize("field", ["n_turns", "n_layers"])
+@pytest.mark.parametrize("value", [True, 2.5, 2.0, np.float64(2.0)])
+def test_geometry_rejects_non_integer_counts(field, value):
+    with pytest.raises(GeometryError, match=f"{field} must be an integer"):
+        WindingGeometry(**dict(_VALID, **{field: value}))
+
+
+def test_geometry_accepts_numpy_integer_counts():
+    g = WindingGeometry(**dict(_VALID, n_turns=np.int64(5), n_layers=np.int32(2)))
+    assert g == WindingGeometry(**_VALID)
 
 
 def test_single_layer_drops_layer_gap():

@@ -67,6 +67,18 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="positive"):
             OptimizationProblem(bad, p.NT_domain, p.n_layers, p.layer_gap)
 
+    @pytest.mark.parametrize("key", ["D1", "d1", "w"])
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_bounds(self, key, index, value):
+        p = default_problem()
+        bad = dict(p.bounds)
+        pair = list(bad[key])
+        pair[index] = value
+        bad[key] = tuple(pair)
+        with pytest.raises(ValueError, match=key):
+            OptimizationProblem(bad, p.NT_domain, p.n_layers, p.layer_gap)
+
     def test_turn_domain(self):
         with pytest.raises(ValueError, match="empty"):
             small_problem(NT_domain=())
@@ -82,6 +94,9 @@ class TestProblemValidation:
             small_problem(n_layers=2)
         with pytest.raises(ValueError, match="layer_gap"):
             small_problem(n_layers=2, layer_gap=0.0)
+        for gap in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="layer_gap"):
+                small_problem(n_layers=2, layer_gap=gap)
         p = small_problem(n_layers=1, layer_gap=0.0005)
         assert p.layer_gap is None
 

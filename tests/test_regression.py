@@ -1,19 +1,22 @@
 import json
 import math
 import random
+import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from planarwind import (
+    COEFFICIENT_NAMES,
     DEFAULT_COEFFICIENTS,
     MU0,
+    CoefficientSet,
     GridSpec,
     RankDeficiencyError,
     Sample,
     WindingGeometry,
     build_design_matrix,
-    design_row,
     error_pct,
     evaluate,
     fit_and_evaluate,
@@ -39,21 +42,111 @@ def fit_corpus(noise=0.0, seed=0):
     return synth_labels(generate_grid(spec), DEFAULT_COEFFICIENTS, noise, seed)
 
 
+def _parent_design_row(sample):
+    """Logged features and response of one sample, row by row.
+
+    The per-row construction that build_design_matrix replaced, kept as
+    the reference its columns must equal bit for bit.
+    """
+    g = sample.geometry
+    if g.n_layers == 1:
+        x9 = 0.0
+    else:
+        x9 = (g.n_layers - 1) * math.log10(g.layer_gap)
+    return (
+        math.log10(g.D1),
+        math.log10(g.D2),
+        math.log10((g.D1 + g.d1) / 2.0),
+        math.log10((g.D2 + g.d2) / 2.0),
+        math.log10(g.w),
+        math.log10(g.s),
+        math.log10(g.n_turns),
+        math.log10(g.n_layers),
+        x9,
+        math.log10(sample.L_ref),
+    )
+
+
+def _distinct(values, max_size):
+    return st.lists(values, min_size=1, max_size=max_size, unique=True).map(tuple)
+
+
+@st.composite
+def labeled_grids(draw):
+    """A small random grid (mm), labeled under a random coefficient set with noise."""
+    spec = GridSpec(
+        D1_values=draw(_distinct(st.floats(20.0, 200.0), 3)),
+        D2_values=draw(_distinct(st.floats(20.0, 200.0), 3)),
+        w_values=draw(_distinct(st.floats(0.2, 5.0), 2)),
+        s_values=draw(_distinct(st.floats(0.05, 2.0), 2)),
+        O_values=draw(_distinct(st.floats(0.05, 3.0), 2)),
+        NT_values=draw(_distinct(st.integers(1, 12), 3)),
+        NL_values=draw(_distinct(st.integers(1, 6), 3)),
+    )
+    geometries = generate_grid(spec)
+    assume(geometries)
+    coefficients = CoefficientSet(
+        a0=draw(st.floats(0.5, 3.0)),
+        **{name: draw(st.floats(-2.0, 2.0)) for name in COEFFICIENT_NAMES[1:]},
+    )
+    noise = draw(st.floats(0.0, 0.05))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return synth_labels(geometries, coefficients, noise, seed), coefficients
+
+
+@given(labeled_grids())
+def test_design_matrix_equals_parent_rows_bit_for_bit(corpus):
+    samples, _ = corpus
+    X, y = build_design_matrix(samples)
+    rows = [_parent_design_row(sample) for sample in samples]
+    X_parent = np.array([(1.0, *row[:9]) for row in rows])
+    y_parent = np.array([row[9] for row in rows])
+    assert X.tobytes() == X_parent.tobytes()
+    assert y.tobytes() == y_parent.tobytes()
+
+
+@given(labeled_grids())
+def test_evaluate_agrees_with_per_sample_error(corpus):
+    samples, coefficients = corpus
+    expected = np.array([error_pct(sample, coefficients) for sample in samples])
+    for sample, want in zip(samples, expected):
+        assert abs(evaluate([sample], coefficients).mean_error_pct - want) <= 1e-12
+    report = evaluate(samples, coefficients)
+    assert abs(report.mean_error_pct - expected.mean()) <= 1e-12
+    assert abs(report.std_error_pct - expected.std()) <= 1e-12
+    assert abs(report.mae_pct - np.abs(expected).mean()) <= 1e-12
+    layers = [sample.geometry.n_layers for sample in samples]
+    assert report.exceedance_by_NL == {
+        nl: sum(1 for e, n in zip(expected, layers) if n == nl and abs(e) > 5.0)
+        for nl in set(layers)
+    }
+
+
+def test_design_matrix_names_the_first_bad_label():
+    samples = fit_corpus()[:3]
+    # Sample rejects such a label, so the bad rows are stand-ins.
+    bad = types.SimpleNamespace(geometry=samples[0].geometry, L_ref=math.nan)
+    with pytest.raises(ValueError, match="sample 3: L_ref"):
+        build_design_matrix(samples[:3] + [bad, bad])
+
+
 class TestDesignRow:
     def test_exact_log_features(self):
         g = WindingGeometry(0.1, 0.1, 0.004, 0.001, 5, 1)
-        row = design_row(Sample(g, 1e-6))
-        assert row.x1 == -1.0
-        assert row.x2 == -1.0
-        assert row.x6 == -3.0
-        assert row.x9 == 0.0
-        assert row.y == -6.0
+        X, y = build_design_matrix([Sample(g, 1e-6)])
+        row = X[0]
+        assert row[1] == -1.0
+        assert row[2] == -1.0
+        assert row[6] == -3.0
+        assert row[9] == 0.0
+        assert y[0] == -6.0
 
     def test_gap_term_scales_with_extra_layers(self):
         g = WindingGeometry(0.1, 0.1, 0.004, 0.001, 5, 3, 0.001)
-        row = design_row(Sample(g, 1e-6))
-        assert row.x9 == -6.0
-        assert row.x8 == math.log10(3)
+        X, _ = build_design_matrix([Sample(g, 1e-6)])
+        row = X[0]
+        assert row[9] == -6.0
+        assert row[8] == math.log10(3)
 
     def test_matrix_shape_and_intercept(self):
         samples = fit_corpus()[:20]
