@@ -337,27 +337,23 @@ def _parse_float(path, line: int, name: str, text: str) -> float:
         raise SampleFileError(path, line, f"{name} is not a number: {text!r}") from None
 
 
-def _parse_int(path, line: int, name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SampleFileError(path, line, f"{name} is not an integer: {text!r}") from None
-
-
 def _parse_geometry(path, line: int, row: Sequence[str]) -> WindingGeometry:
-    # float() and int() skip surrounding whitespace, so numeric cells are
-    # converted as read.  Only when a conversion fails are the cells parsed
-    # one by one, to name the bad field.
-    try:
-        D1, D2, d1, d2, w, s = map(float, row[:6])
-        nt, nl = int(row[6]), int(row[7])
-    except ValueError:
-        D1, D2, d1, d2, w, s = (
-            _parse_float(path, line, name, text.strip())
-            for name, text in zip(CSV_HEADER, row[:6])
-        )
-        nt = _parse_int(path, line, "N_T", row[6].strip())
-        nl = _parse_int(path, line, "N_L", row[7].strip())
+    # float() and int() skip surrounding whitespace, so the numeric cells
+    # are converted as read; only an error message strips its cell.
+    lengths = []
+    for name, text in zip(CSV_HEADER[:6], row[:6]):
+        try:
+            lengths.append(float(text))
+        except ValueError:
+            raise SampleFileError(path, line, f"{name} is not a number: {text.strip()!r}") from None
+    D1, D2, d1, d2, w, s = lengths
+    counts = []
+    for name, text in zip(CSV_HEADER[6:8], row[6:8]):
+        try:
+            counts.append(int(text))
+        except ValueError:
+            raise SampleFileError(path, line, f"{name} is not an integer: {text.strip()!r}") from None
+    nt, nl = counts
     gap_text = row[8].strip()
     if nl == 1 and gap_text != "":
         raise SampleFileError(path, line, f"O_mm must be empty for a single-layer row, got {gap_text!r}")

@@ -15,7 +15,6 @@ happens at file and CLI boundaries only (see :mod:`planarwind.units`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -97,12 +96,11 @@ class WindingGeometry:
     d2: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # Plain ints skip the slow ABC check.  bool is an int subclass, and
-        # is refused.
-        if type(self.n_turns) is not int or type(self.n_layers) is not int:
-            for name, count in (("n_turns", self.n_turns), ("n_layers", self.n_layers)):
-                if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-                    raise GeometryError(f"{name} must be an integer, got {count!r}")
+        # An integer is anything with __index__ (int and the NumPy integers),
+        # except bool.
+        for name, count in (("n_turns", self.n_turns), ("n_layers", self.n_layers)):
+            if isinstance(count, bool) or not hasattr(count, "__index__"):
+                raise GeometryError(f"{name} must be an integer, got {count!r}")
         if self.n_layers < 1:
             raise GeometryError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.D1 > self.D2:

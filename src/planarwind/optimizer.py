@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .estimator import DEFAULT_COEFFICIENTS, CoefficientSet, inductance, inductance_from_dims
 from .geometry import WindingGeometry
@@ -352,10 +353,6 @@ def maximize(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    # Imported here: scipy.optimize takes longer to import than the rest
-    # of the command line, and only this search needs it.
-    from scipy.optimize import minimize
-
     lo, hi = _box(problem)
     bounds = list(zip(lo, hi))
     records = []

@@ -224,8 +224,9 @@ def evaluate(
     c = _Columns(samples)
     layers = np.array(c.NL)
     L_model = np.empty(len(samples))
-    columns = [np.array(v) for v in (c.D1, c.D2, c.d1, c.d2, c.w, c.s, c.NT)]
-    # None (no gap, single layer) becomes NaN and is never read.
+    # Float columns, N_T too: an int array cannot take a negative integer
+    # exponent.  None (no gap, single layer) becomes NaN and is never read.
+    columns = [np.array(v, dtype=float) for v in (c.D1, c.D2, c.d1, c.d2, c.w, c.s, c.NT)]
     gaps = np.array(c.gap, dtype=float)
     layer_counts = np.unique(layers).tolist()
     # The kernel takes one layer count per call.

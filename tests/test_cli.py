@@ -1,12 +1,7 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import planarwind
 from planarwind import DEFAULT_COEFFICIENTS, GridSpec, inductance, read_csv, read_geometry_csv
 from planarwind.cli import main
 
@@ -306,18 +301,6 @@ class TestFitAndEval:
         assert code == 3 and out == ""
         assert ":3:" in err and "finite" in err
         assert not report.exists()
-
-
-def test_cli_import_leaves_the_optimizer_backend_unloaded():
-    # scipy.optimize is imported by maximize itself, so estimate, grid,
-    # fit and eval start without paying for it.
-    env = dict(os.environ, PYTHONPATH=str(Path(planarwind.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, planarwind.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
 
 
 class TestOptimize:

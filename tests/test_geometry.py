@@ -75,7 +75,7 @@ def test_geometry_rejects_non_finite_lengths(field, value):
 
 
 @pytest.mark.parametrize("field", ["n_turns", "n_layers"])
-@pytest.mark.parametrize("value", [True, 2.5, 2.0, np.float64(2.0)])
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.5, 2.0, np.float64(2.0), "2"])
 def test_geometry_rejects_non_integer_counts(field, value):
     with pytest.raises(GeometryError, match=f"{field} must be an integer"):
         WindingGeometry(**dict(_VALID, **{field: value}))

@@ -273,6 +273,16 @@ class TestEvaluate:
         report = evaluate(samples, DEFAULT_COEFFICIENTS, threshold_pct=5.0)
         assert report.exceedance_by_NL == {1: 1, 2: 0}
 
+    def test_integer_exponents(self):
+        # CoefficientSet accepts ints; a negative one must not meet an int
+        # array of turn counts.
+        coefficients = CoefficientSet(1, 1, 0, -1, 0, 1, 0, -1, -2, -1)
+        samples = synth_labels([s.geometry for s in fit_corpus()], coefficients, 0.01, 3)
+        expected = np.array([error_pct(sample, coefficients) for sample in samples])
+        report = evaluate(samples, coefficients)
+        assert abs(report.mean_error_pct - expected.mean()) <= 1e-12
+        assert abs(report.mae_pct - np.abs(expected).mean()) <= 1e-12
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             evaluate([], DEFAULT_COEFFICIENTS)
