@@ -30,18 +30,12 @@ from .dataset import (
 )
 from .estimator import (
     DEFAULT_COEFFICIENTS,
+    MOHAN_COEFFICIENTS,
+    SIMPLIFIED_COEFFICIENTS,
     CoefficientSet,
     inductance,
-    inductance_simplified,
-    inductance_square,
-    mohan_inductance,
 )
-from .geometry import (
-    GeometryError,
-    InfeasibleGeometryError,
-    canonicalize,
-    derive_inner_side,
-)
+from .geometry import GeometryError, InfeasibleGeometryError, canonicalize, mean_sides
 from .optimizer import (
     DEFAULT_RESOLUTION,
     InfeasibleProblemError,
@@ -60,6 +54,10 @@ EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
 
 _BUILTIN_SPECS = {"A": dataset_a_spec, "B": dataset_b_spec, "C": dataset_c_spec}
+
+# Every --model is the one kernel with a coefficient set.  These two have
+# fixed sets; full and square take --coeffs (square is full on D1 = D2).
+_FIXED_COEFFICIENTS = {"simplified": SIMPLIFIED_COEFFICIENTS, "mohan": MOHAN_COEFFICIENTS}
 
 
 class UsageError(Exception):
@@ -104,41 +102,34 @@ def _load_grid_specs(spec: str) -> list[GridSpec]:
 
 def _cmd_estimate(args) -> int:
     model = args.model
-    if args.coeffs is not None and model not in ("full", "square"):
+    if args.coeffs is not None and model in _FIXED_COEFFICIENTS:
         raise UsageError(f"--coeffs applies to the full and square models, not {model}")
     if args.NL >= 2 and args.O is None:
         raise UsageError(f"--O is required for --NL {args.NL}")
-    coefficients = _load_coefficients(args.coeffs) if args.coeffs else DEFAULT_COEFFICIENTS
+    if args.coeffs:
+        coefficients = _load_coefficients(args.coeffs)
+    else:
+        coefficients = _FIXED_COEFFICIENTS.get(model, DEFAULT_COEFFICIENTS)
     gap = mm_to_m(args.O) if args.O is not None else None
     geometry = canonicalize(
         mm_to_m(args.D1), mm_to_m(args.D2), mm_to_m(args.w), mm_to_m(args.s),
         args.NT, args.NL, gap,
     )
-    if model == "full":
-        L = inductance(geometry, coefficients)
-    elif model == "simplified":
-        L = inductance_simplified(geometry)
-    elif model == "square":
-        if args.D1 != args.D2:
-            raise UsageError("the square model needs --D1 equal to --D2")
-        L = inductance_square(
-            geometry.D1, geometry.w, geometry.s, geometry.n_turns,
-            geometry.n_layers, geometry.layer_gap, coefficients,
-        )
-    else:  # mohan
+    if model == "square" and args.D1 != args.D2:
+        raise UsageError("the square model needs --D1 equal to --D2")
+    if model == "mohan":
         if args.NL != 1:
             raise UsageError("the mohan model is single-layer, use --NL 1")
         if args.D1 != args.D2:
             raise UsageError("the mohan model is square, use --D1 equal to --D2")
-        d = derive_inner_side(geometry.D1, geometry.n_turns, geometry.w, geometry.s)
-        L = mohan_inductance(geometry.D1, d, geometry.w, geometry.s, geometry.n_turns)
+    sides = mean_sides(geometry)
     fields = {
         "model": model,
-        "L_uH": h_to_uh(L),
+        "L_uH": h_to_uh(inductance(geometry, coefficients)),
         "d1_mm": m_to_mm(geometry.d1),
         "d2_mm": m_to_mm(geometry.d2),
-        "Dbar1_mm": m_to_mm((geometry.D1 + geometry.d1) / 2.0),
-        "Dbar2_mm": m_to_mm((geometry.D2 + geometry.d2) / 2.0),
+        "Dbar1_mm": m_to_mm(sides.Dbar1),
+        "Dbar2_mm": m_to_mm(sides.Dbar2),
     }
     if args.format == "json":
         text = json.dumps(fields, indent=2) + "\n"
@@ -249,6 +240,9 @@ def _cmd_optimize(args) -> int:
         raise UsageError(f"--restarts must be >= 1, got {args.restarts}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.resolution is not None and not args.oracle:
+        raise UsageError("--resolution needs --oracle")
+    resolution = _parse_resolution(args.resolution) if args.resolution else None
     if args.problem == "default":
         problem = default_problem()
     else:
@@ -266,7 +260,6 @@ def _cmd_optimize(args) -> int:
     else:
         print(f"no feasible point found in {result.restarts_run} restarts")
     if args.oracle and result.feasible_found:
-        resolution = _parse_resolution(args.resolution) if args.resolution else None
         oracle = brute_force_max(problem, resolution)
         oracle_mapping = oracle.to_mapping()
         del oracle_mapping["restarts"]
@@ -290,10 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Inductance estimation, model fitting and design "
                     "optimization for multilayer rectangular planar windings. "
                     "Lengths are mm, inductances uH.",
-    )
-    parser.add_argument(
-        "--units", choices=["mm-uH"], default="mm-uH",
-        help="unit system for flags and files (fixed in this version)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -11,6 +11,11 @@ layer, N_L is the number of layers and O is the layer gap.  The O factor is
 absent for a single layer: its exponent would be zero anyway, and dropping
 the factor keeps single-layer estimates independent of any gap value.
 
+:func:`inductance_from_dims` is the one place the product is written out.
+Model variants are coefficient sets on it: :data:`SIMPLIFIED_COEFFICIENTS`
+and :data:`MOHAN_COEFFICIENTS`.  Only :func:`mohan_inductance_um`, the
+independent check of the unit conversion, keeps its own formula.
+
 All inputs are SI (meters), all results are henries.
 """
 
@@ -26,6 +31,8 @@ from .geometry import (
     IncompleteGeometryError,
     WindingGeometry,
     derive_inner_side,
+    mean_side,
+    require_integer,
 )
 
 # Vacuum permeability, H/m.
@@ -91,20 +98,21 @@ class CoefficientSet:
         return cls(label=str(mapping.get("label", "")), **values)
 
 
-# Reference coefficient set for the general model.
+# Coefficient sets, in the order a0..a9.  The reference set of the general model:
 DEFAULT_COEFFICIENTS = CoefficientSet(
-    a0=1.602,
-    a1=-0.592,
-    a2=-0.378,
-    a3=1.175,
-    a4=1.072,
-    a5=-0.183,
-    a6=-0.011,
-    a7=1.794,
-    a8=1.804,
-    a9=-0.006,
-    label="default",
+    1.602, -0.592, -0.378, 1.175, 1.072, -0.183, -0.011, 1.794, 1.804, -0.006, label="default"
 )
+# The reduced form: N_T and N_L share the exponent 1.8, which merges them
+# into one total-turns factor (N_T * N_L)^1.8, and the spacing drops out.
+SIMPLIFIED_COEFFICIENTS = CoefficientSet(
+    1.7274, -0.592, -0.378, 1.175, 1.072, -0.183, 0.0, 1.8, 1.8, -0.006, label="simplified"
+)
+# The single-layer square spiral estimate of Mohan et al. (JSSC 1999) in SI
+# form, for D1 = D2 = D, d1 = d2 = d and N_L = 1 (a2, a4, a8 and a9 are 0).
+MOHAN_COEFFICIENTS = CoefficientSet(
+    1.5428, -1.21, 0.0, 2.4, 0.0, -0.147, -0.03, 1.78, 0.0, 0.0, label="mohan"
+)
+
 
 def inductance_from_dims(
     D1, D2, d1, d2, w, s, n_turns,
@@ -120,15 +128,13 @@ def inductance_from_dims(
     scalar.  Use :func:`inductance` for a validated scalar evaluation.
     """
     c = coefficients
-    Dbar1 = (D1 + d1) / 2.0
-    Dbar2 = (D2 + d2) / 2.0
     value = (
         c.a0
         * MU0
         * D1 ** c.a1
         * D2 ** c.a2
-        * Dbar1 ** c.a3
-        * Dbar2 ** c.a4
+        * mean_side(D1, d1) ** c.a3
+        * mean_side(D2, d2) ** c.a4
         * w ** c.a5
         * s ** c.a6
         * n_turns ** c.a7
@@ -178,8 +184,7 @@ def inductance_square(
 def inductance_simplified(geometry: WindingGeometry) -> float:
     """Reduced-form estimate with N_T and N_L merged, in henries.
 
-    Variant of the general model with the turn and layer counts collapsed
-    into a single total-turns factor and the spacing dropped:
+    The general model with :data:`SIMPLIFIED_COEFFICIENTS`:
 
         L = 1.7274 * mu0 * D1^-0.592 * D2^-0.378 * Dbar1^1.175
             * Dbar2^1.072 * w^-0.183 * (N_T * N_L)^1.8 * O^(-0.006 (N_L - 1))
@@ -187,29 +192,15 @@ def inductance_simplified(geometry: WindingGeometry) -> float:
     Slightly less accurate than :func:`inductance` with the default
     coefficients, but convenient for hand calculation.
     """
-    g = geometry
-    Dbar1 = (g.D1 + g.d1) / 2.0
-    Dbar2 = (g.D2 + g.d2) / 2.0
-    value = (
-        1.7274
-        * MU0
-        * g.D1 ** -0.592
-        * g.D2 ** -0.378
-        * Dbar1 ** 1.175
-        * Dbar2 ** 1.072
-        * g.w ** -0.183
-        * (g.n_turns * g.n_layers) ** 1.8
-    )
-    if g.n_layers > 1:
-        value *= g.layer_gap ** (-0.006 * (g.n_layers - 1))
-    return value
+    return inductance(geometry, SIMPLIFIED_COEFFICIENTS)
 
 
 def mohan_inductance(D: float, d: float, w: float, s: float, n_turns: int) -> float:
     """Monomial estimate for a single-layer square spiral, SI form.
 
     Classic monomial fit for square planar spirals with outer side D and
-    inner side d, restated in SI units:
+    inner side d, restated in SI units: the general model with
+    :data:`MOHAN_COEFFICIENTS` at D1 = D2 = D, d1 = d2 = d and N_L = 1,
 
         L = 1.5428 * mu0 * D^-1.21 * ((D + d) / 2)^2.4
             * w^-0.147 * s^-0.03 * N^1.78
@@ -217,16 +208,7 @@ def mohan_inductance(D: float, d: float, w: float, s: float, n_turns: int) -> fl
     Returns henries.
     """
     _check_mohan_inputs(D, d, w, s, n_turns)
-    Dbar = (D + d) / 2.0
-    return (
-        1.5428
-        * MU0
-        * D ** -1.21
-        * Dbar ** 2.4
-        * w ** -0.147
-        * s ** -0.03
-        * n_turns ** 1.78
-    )
+    return inductance_from_dims(D, D, d, d, w, s, n_turns, 1, coefficients=MOHAN_COEFFICIENTS)
 
 
 def mohan_inductance_um(
@@ -255,8 +237,10 @@ def mohan_inductance_um(
 
 
 def _check_mohan_inputs(D: float, d: float, w: float, s: float, n_turns: int) -> None:
-    if D <= 0.0 or d <= 0.0 or w <= 0.0 or s <= 0.0:
-        raise GeometryError(f"lengths must be positive, got D={D}, d={d}, w={w}, s={s}")
+    # Chained comparisons are False for NaN, so NaN fails too.
+    if not all(0.0 < x < math.inf for x in (D, d, w, s)):
+        raise GeometryError(f"lengths must be positive and finite, got D={D}, d={d}, w={w}, s={s}")
+    require_integer("n_turns", n_turns)
     if d >= D:
         raise GeometryError(f"inner side must be smaller than outer side, got d={d} >= D={D}")
     if n_turns < 1:
@@ -274,6 +258,6 @@ def effective_layer_spacing(gaps: Sequence[float]) -> float:
     """
     if len(gaps) == 0:
         raise ValueError("at least one layer gap is required")
-    if any(gap <= 0.0 for gap in gaps):
-        raise ValueError(f"layer gaps must be positive, got {list(gaps)}")
+    if not all(0.0 < gap < math.inf for gap in gaps):
+        raise ValueError(f"layer gaps must be positive and finite, got {list(gaps)}")
     return statistics.fmean(gaps)

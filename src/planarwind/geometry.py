@@ -35,6 +35,22 @@ class IncompleteGeometryError(GeometryError):
     """A multilayer winding is missing its layer gap."""
 
 
+def inner_side(D, n_turns, w, s):
+    """Inner side D - 2*n_turns*(w+s) + 2*s, unvalidated; floats or arrays."""
+    return D - 2.0 * n_turns * (w + s) + 2.0 * s
+
+
+def mean_side(D, d):
+    """Mean side (D + d) / 2 of an outer and an inner side, unvalidated; floats or arrays."""
+    return (D + d) / 2.0
+
+
+def require_integer(name: str, count) -> None:
+    """Raise GeometryError unless count has __index__ (int, NumPy integers) and is no bool."""
+    if isinstance(count, bool) or not hasattr(count, "__index__"):
+        raise GeometryError(f"{name} must be an integer, got {count!r}")
+
+
 def derive_inner_side(D: float, n_turns: int, w: float, s: float) -> float:
     """Inner side length of a spiral with n_turns of width w and spacing s.
 
@@ -57,7 +73,7 @@ def derive_inner_side(D: float, n_turns: int, w: float, s: float) -> float:
         raise GeometryError(f"lengths must be positive and finite, got D={D}, w={w}, s={s}")
     if n_turns < 1:
         raise GeometryError(f"n_turns must be >= 1, got {n_turns}")
-    d = D - 2.0 * n_turns * (w + s) + 2.0 * s
+    d = inner_side(D, n_turns, w, s)
     if d <= 0.0:
         raise InfeasibleGeometryError(
             f"{n_turns} turns of width {w} m at spacing {s} m do not fit "
@@ -96,11 +112,8 @@ class WindingGeometry:
     d2: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # An integer is anything with __index__ (int and the NumPy integers),
-        # except bool.
-        for name, count in (("n_turns", self.n_turns), ("n_layers", self.n_layers)):
-            if isinstance(count, bool) or not hasattr(count, "__index__"):
-                raise GeometryError(f"{name} must be an integer, got {count!r}")
+        require_integer("n_turns", self.n_turns)
+        require_integer("n_layers", self.n_layers)
         if self.n_layers < 1:
             raise GeometryError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.D1 > self.D2:
@@ -134,8 +147,8 @@ class MeanSides:
 def mean_sides(geometry: WindingGeometry) -> MeanSides:
     """Mean of outer and inner side lengths for both axes."""
     return MeanSides(
-        Dbar1=(geometry.D1 + geometry.d1) / 2.0,
-        Dbar2=(geometry.D2 + geometry.d2) / 2.0,
+        Dbar1=mean_side(geometry.D1, geometry.d1),
+        Dbar2=mean_side(geometry.D2, geometry.d2),
     )
 
 
@@ -231,8 +244,8 @@ def validate(
     )
     check("counts", g.n_turns >= 1 and g.n_layers >= 1, f"n_turns={g.n_turns}, n_layers={g.n_layers}")
     check("sides_ordered", g.D1 <= g.D2, f"D1={g.D1}, D2={g.D2}")
-    d1_expected = g.D1 - 2.0 * g.n_turns * (g.w + g.s) + 2.0 * g.s
-    d2_expected = g.D2 - 2.0 * g.n_turns * (g.w + g.s) + 2.0 * g.s
+    d1_expected = inner_side(g.D1, g.n_turns, g.w, g.s)
+    d2_expected = inner_side(g.D2, g.n_turns, g.w, g.s)
     check(
         "inner_sides_consistent",
         g.d1 == d1_expected and g.d2 == d2_expected,

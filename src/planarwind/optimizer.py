@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .estimator import DEFAULT_COEFFICIENTS, CoefficientSet, inductance, inductance_from_dims
-from .geometry import WindingGeometry
+from .geometry import WindingGeometry, inner_side
 from .units import h_to_uh, m_to_mm, mm_to_m
 
 BOUND_KEYS = ("D1", "D2", "d1", "d2", "w", "s")
@@ -159,8 +159,8 @@ def feasible(
     reported even when infeasible.
     """
     D1, D2, w, s, nt = candidate
-    d1 = D1 - 2.0 * nt * (w + s) + 2.0 * s
-    d2 = D2 - 2.0 * nt * (w + s) + 2.0 * s
+    d1 = inner_side(D1, nt, w, s)
+    d2 = inner_side(D2, nt, w, s)
     b = problem.bounds
     ok = (
         int(nt) in problem.NT_domain
@@ -259,8 +259,8 @@ def _objective(problem: OptimizationProblem, nt: int):
         s = max(x[3], _TINY)
         # Clamps keep the value defined at infeasible iterates; the linear
         # d constraints pull the solver back regardless.
-        raw1 = D1 - 2.0 * nt * (w + s) + 2.0 * s
-        raw2 = D2 - 2.0 * nt * (w + s) + 2.0 * s
+        raw1 = inner_side(D1, nt, w, s)
+        raw2 = inner_side(D2, nt, w, s)
         d1 = max(raw1, _TINY)
         d2 = max(raw2, _TINY)
         L = inductance_from_dims(
@@ -475,8 +475,8 @@ def brute_force_max(
     best_value = None
     best_point = None
     for nt in problem.NT_domain:
-        d1 = D1 - 2.0 * nt * (w + s) + 2.0 * s
-        d2 = D2 - 2.0 * nt * (w + s) + 2.0 * s
+        d1 = inner_side(D1, nt, w, s)
+        d2 = inner_side(D2, nt, w, s)
         mask = (
             (D1 < D2)
             & (d1 > 0.0)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataset import Sample, split_train_eval
 from .estimator import COEFFICIENT_NAMES, MU0, CoefficientSet, inductance, inductance_from_dims
+from .geometry import mean_side
 
 FEATURE_NAMES = (
     "intercept",
@@ -91,8 +92,10 @@ def build_design_matrix(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarr
     X[:, 0] = 1.0
     X[:, 1] = list(map(log10, c.D1))
     X[:, 2] = list(map(log10, c.D2))
-    X[:, 3] = [log10((D + d) / 2.0) for D, d in zip(c.D1, c.d1)]
-    X[:, 4] = [log10((D + d) / 2.0) for D, d in zip(c.D2, c.d2)]
+    # NumPy adds and halves exactly as Python floats do; only the log
+    # must stay per element.
+    X[:, 3] = list(map(log10, mean_side(np.array(c.D1), np.array(c.d1)).tolist()))
+    X[:, 4] = list(map(log10, mean_side(np.array(c.D2), np.array(c.d2)).tolist()))
     X[:, 5] = list(map(log10, c.w))
     X[:, 6] = list(map(log10, c.s))
     X[:, 7] = list(map(log10, c.NT))

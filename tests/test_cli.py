@@ -128,10 +128,46 @@ class TestEstimate:
         assert code == 4 and "error:" in err
 
     def test_units_flag(self, capsys):
-        code, out, _ = run(capsys, "--units", "mm-uH", "estimate", *self.GOLDEN)
-        assert code == 0 and out.splitlines()[0] == "L_uH = 34.45"
-        code, _, _ = run(capsys, "--units", "inch", "estimate", *self.GOLDEN)
-        assert code == 2
+        # The unit system is fixed (mm and uH), so there is no --units flag.
+        for units in ("mm-uH", "inch"):
+            code, out, _ = run(capsys, "--units", units, "estimate", *self.GOLDEN)
+            assert code == 2 and out == ""
+
+    # Stdout of the README winding, captured before the models shared one
+    # kernel.  Mohan is single-layer, so it runs the winding with --NL 1.
+    PINNED = {
+        "full": (
+            '{\n  "model": "full",\n  "L_uH": 34.445510610569656,\n'
+            '  "d1_mm": 42.00000000000001,\n  "d2_mm": 42.00000000000001,\n'
+            '  "Dbar1_mm": 71.00000000000001,\n  "Dbar2_mm": 71.00000000000001\n}\n',
+            "model,L_uH,d1_mm,d2_mm,Dbar1_mm,Dbar2_mm\n"
+            "full,34.445510610569656,42.00000000000001,42.00000000000001,"
+            "71.00000000000001,71.00000000000001\n",
+        ),
+        "square": (
+            '{\n  "model": "square",\n  "L_uH": 34.445510610569656,\n'
+            '  "d1_mm": 42.00000000000001,\n  "d2_mm": 42.00000000000001,\n'
+            '  "Dbar1_mm": 71.00000000000001,\n  "Dbar2_mm": 71.00000000000001\n}\n',
+            "model,L_uH,d1_mm,d2_mm,Dbar1_mm,Dbar2_mm\n"
+            "square,34.445510610569656,42.00000000000001,42.00000000000001,"
+            "71.00000000000001,71.00000000000001\n",
+        ),
+        "mohan": (
+            '{\n  "model": "mohan",\n  "L_uH": 2.5879599327338996,\n'
+            '  "d1_mm": 42.00000000000001,\n  "d2_mm": 42.00000000000001,\n'
+            '  "Dbar1_mm": 71.00000000000001,\n  "Dbar2_mm": 71.00000000000001\n}\n',
+            "model,L_uH,d1_mm,d2_mm,Dbar1_mm,Dbar2_mm\n"
+            "mohan,2.5879599327338996,42.00000000000001,42.00000000000001,"
+            "71.00000000000001,71.00000000000001\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("model", sorted(PINNED))
+    def test_estimate_output_bytes_are_pinned(self, capsys, model):
+        args = self.GOLDEN[:-4] + ["--NL", "1"] if model == "mohan" else self.GOLDEN
+        for fmt, expected in zip(("json", "csv"), self.PINNED[model]):
+            code, out, err = run(capsys, "estimate", *args, "--model", model, "--format", fmt)
+            assert (code, out, err) == (0, expected, "")
 
     @pytest.mark.parametrize("flag", ["--D1", "--D2", "--w", "--s", "--O"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -334,6 +370,21 @@ class TestOptimize:
                                "--resolution", resolution,
                                "--out", str(tmp_path / "x.json"))
             assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--oracle", "--resolution", "D1=nan"),
+        ("--oracle", "--resolution", "s=inf"),
+        ("--resolution", "D1=0.5"),
+    ])
+    def test_resolution_is_checked_before_the_search(self, capsys, tmp_path, flags):
+        # A bad --resolution, or one without --oracle, fails before maximize
+        # runs: nothing is printed and no result file is written.
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "optimize", "--problem", "default",
+                                "--restarts", "2", *flags, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "--resolution" in err
+        assert not out.exists()
 
     def test_infeasible_problem_is_reported_not_raised(self, capsys, tmp_path):
         problem = {

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from planarwind import (
     DEFAULT_COEFFICIENTS,
+    MOHAN_COEFFICIENTS,
     MU0,
+    SIMPLIFIED_COEFFICIENTS,
     CoefficientSet,
     GeometryError,
     IncompleteGeometryError,
@@ -18,6 +20,8 @@ from planarwind import (
     inductance_from_dims,
     inductance_simplified,
     inductance_square,
+    inner_side,
+    mean_side,
     mohan_inductance,
     mohan_inductance_um,
 )
@@ -159,12 +163,25 @@ def test_mohan_cross_unit_agreement():
 
 
 def test_mohan_rejects_bad_inputs():
-    with pytest.raises(GeometryError):
-        mohan_inductance(0.1, 0.2, 0.004, 0.002, 5)
-    with pytest.raises(GeometryError):
-        mohan_inductance(0.1, 0.044, -0.004, 0.002, 5)
-    with pytest.raises(GeometryError):
-        mohan_inductance_um(1e5, 4.4e4, 4e3, 2e3, 0)
+    # Both forms share the checks, and they do not depend on the unit.
+    for args in [
+        (0.1, 0.2, 0.004, 0.002, 5),
+        (0.1, 0.044, -0.004, 0.002, 5),
+        (math.nan, 0.044, 0.004, 0.002, 5),
+        (0.1, math.nan, 0.004, 0.002, 5),
+        (0.1, 0.044, math.nan, 0.002, 5),
+        (0.1, 0.044, 0.004, math.nan, 5),
+        (math.inf, 0.044, 0.004, 0.002, 5),
+        (0.1, 0.044, math.inf, 0.002, 5),
+        (0.1, 0.044, 0.004, math.inf, 5),
+        (0.1, 0.044, 0.004, 0.002, 0),
+        (0.1, 0.044, 0.004, 0.002, 2.5),
+        (0.1, 0.044, 0.004, 0.002, True),
+        (0.1, 0.044, 0.004, 0.002, "5"),
+    ]:
+        for estimate in (mohan_inductance, mohan_inductance_um):
+            with pytest.raises(GeometryError):
+                estimate(*args)
 
 
 def test_from_dims_requires_gap_for_multilayer():
@@ -191,8 +208,9 @@ def test_effective_layer_spacing():
     assert effective_layer_spacing([0.0016]) == 0.0016
     with pytest.raises(ValueError):
         effective_layer_spacing([])
-    with pytest.raises(ValueError):
-        effective_layer_spacing([0.001, -0.001])
+    for gaps in ([0.001, -0.001], [0.001, 0.0], [math.nan], [0.001, math.inf], [-math.inf]):
+        with pytest.raises(ValueError):
+            effective_layer_spacing(gaps)
 
 
 @given(
@@ -205,3 +223,130 @@ def test_positive_and_finite(D1, extra, n_layers):
     g = WindingGeometry(D1, D1 + extra, 0.003, 0.0005, 6, n_layers, gap)
     L = inductance(g)
     assert L > 0 and math.isfinite(L)
+
+
+def test_named_coefficient_sets():
+    assert SIMPLIFIED_COEFFICIENTS.as_tuple() == (
+        1.7274, -0.592, -0.378, 1.175, 1.072, -0.183, 0.0, 1.8, 1.8, -0.006
+    )
+    assert MOHAN_COEFFICIENTS.as_tuple() == (
+        1.5428, -1.21, 0.0, 2.4, 0.0, -0.147, -0.03, 1.78, 0.0, 0.0
+    )
+
+
+def _parent_simplified(g):
+    # The closed form inductance_simplified used before it became a
+    # coefficient set on the kernel; kept as the reference for it.
+    Dbar1 = (g.D1 + g.d1) / 2.0
+    Dbar2 = (g.D2 + g.d2) / 2.0
+    value = (
+        1.7274
+        * MU0
+        * g.D1 ** -0.592
+        * g.D2 ** -0.378
+        * Dbar1 ** 1.175
+        * Dbar2 ** 1.072
+        * g.w ** -0.183
+        * (g.n_turns * g.n_layers) ** 1.8
+    )
+    if g.n_layers > 1:
+        value *= g.layer_gap ** (-0.006 * (g.n_layers - 1))
+    return value
+
+
+def _parent_mohan(D, d, w, s, n_turns):
+    # The closed form of mohan_inductance before it moved onto the kernel.
+    Dbar = (D + d) / 2.0
+    return (
+        1.5428
+        * MU0
+        * D ** -1.21
+        * Dbar ** 2.4
+        * w ** -0.147
+        * s ** -0.03
+        * n_turns ** 1.78
+    )
+
+
+@st.composite
+def windings(draw, n_layers=st.integers(1, 6)):
+    """A random feasible winding, in meters."""
+    w = draw(st.floats(1e-4, 6e-3))
+    s = draw(st.floats(5e-5, 2e-3))
+    nt = draw(st.integers(1, 12))
+    nl = draw(n_layers)
+    # Outer side D1 leaves an inner side of at least 0.1 mm.
+    D1 = 2.0 * nt * (w + s) - 2.0 * s + draw(st.floats(1e-4, 0.2))
+    D2 = D1 + draw(st.floats(0.0, 0.2))
+    gap = draw(st.floats(1e-4, 3e-3)) if nl > 1 else None
+    return WindingGeometry(D1, D2, w, s, nt, nl, gap)
+
+
+@given(g=windings())
+def test_simplified_matches_the_parent_closed_form(g):
+    # The kernel raises N_T and N_L to 1.8 separately, and
+    # N_T^1.8 * N_L^1.8 can differ from (N_T * N_L)^1.8 in the last bit.
+    parent = _parent_simplified(g)
+    assert abs(inductance_simplified(g) - parent) <= 1e-15 * parent
+
+
+@given(g=windings(n_layers=st.just(1)))
+def test_mohan_matches_the_parent_closed_form_bit_for_bit(g):
+    for D, d in ((g.D1, g.d1), (g.D2, g.d2)):
+        assert mohan_inductance(D, d, g.w, g.s, g.n_turns) == _parent_mohan(
+            D, d, g.w, g.s, g.n_turns
+        )
+
+
+_lengths = st.floats(1e-6, 1.0)
+
+
+@given(D=st.lists(_lengths, min_size=1, max_size=5), x=st.lists(_lengths, min_size=1, max_size=4),
+       s=_lengths, nt=st.integers(1, 20))
+def test_side_helpers_match_the_written_out_formulas(D, x, s, nt):
+    # x is the width for inner_side and the inner side for mean_side.
+    for D_, x_ in zip(D, x):
+        assert inner_side(D_, nt, x_, s) == D_ - 2.0 * nt * (x_ + s) + 2.0 * s
+        assert mean_side(D_, x_) == (D_ + x_) / 2.0
+    # Broadcast arrays give the scalar result in every cell.
+    D_col = np.array(D)[:, None]
+    x_row = np.array(x)[None, :]
+    inner = inner_side(D_col, nt, x_row, s)
+    mean = mean_side(D_col, x_row)
+    assert inner.shape == mean.shape == (len(D), len(x))
+    for i, D_ in enumerate(D):
+        for j, x_ in enumerate(x):
+            assert inner[i, j] == D_ - 2.0 * nt * (x_ + s) + 2.0 * s
+            assert mean[i, j] == (D_ + x_) / 2.0
+
+
+_random_coefficients = st.builds(
+    CoefficientSet,
+    a0=st.floats(0.1, 10.0),
+    **{f"a{i}": st.floats(-3.0, 3.0) for i in range(1, 10)},
+)
+
+
+@given(
+    geometries=st.integers(1, 6).flatmap(
+        lambda nl: st.lists(windings(n_layers=st.just(nl)), min_size=1, max_size=8)
+    ),
+    coefficients=st.one_of(
+        st.sampled_from([DEFAULT_COEFFICIENTS, SIMPLIFIED_COEFFICIENTS, MOHAN_COEFFICIENTS]),
+        _random_coefficients,
+    ),
+)
+def test_from_dims_arrays_agree_with_scalars(geometries, coefficients):
+    # The kernel on column arrays (as evaluate calls it) against one call
+    # per winding.  NumPy's vectorised pow may differ from libm's pow by an
+    # ulp in each of the ten factors, so the product may move by about
+    # 10 ulps; 1e-14 relative is that bound with a margin.
+    nl = geometries[0].n_layers
+    columns = [np.array([getattr(g, name) for g in geometries], dtype=float)
+               for name in ("D1", "D2", "d1", "d2", "w", "s", "n_turns")]
+    gaps = np.array([g.layer_gap for g in geometries], dtype=float) if nl > 1 else None
+    out = inductance_from_dims(*columns, nl, gaps, coefficients=coefficients)
+    assert out.shape == (len(geometries),)
+    for value, g in zip(out, geometries):
+        scalar = inductance(g, coefficients)
+        assert abs(value - scalar) <= 1e-14 * scalar

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from planarwind import (
     GeometryError,
@@ -99,10 +99,25 @@ def test_canonicalize_swaps_sides():
     assert g.d1 <= g.d2
 
 
-def test_canonicalize_is_idempotent():
-    g = canonicalize(0.163, 0.100, 0.003, 0.0005, 10, 1)
+@given(
+    sides=st.tuples(st.floats(0.01, 0.3), st.floats(0.01, 0.3)),
+    w=st.floats(1e-4, 6e-3),
+    s=st.floats(5e-5, 2e-3),
+    n_turns=st.integers(1, 12),
+    n_layers=st.integers(1, 6),
+    gap=st.floats(1e-4, 3e-3),
+)
+@example(sides=(0.163, 0.100), w=0.003, s=0.0005, n_turns=10, n_layers=1, gap=1e-3)
+def test_canonicalize_is_idempotent(sides, w, s, n_turns, n_layers, gap):
+    try:
+        g = canonicalize(*sides, w, s, n_turns, n_layers, gap)
+    except InfeasibleGeometryError:
+        return
+    assert g.D1 <= g.D2
+    assert (g.D1, g.D2) in (sides, sides[::-1])
     again = canonicalize(g.D1, g.D2, g.w, g.s, g.n_turns, g.n_layers, g.layer_gap)
     assert again == g
+    assert canonicalize(*sides[::-1], w, s, n_turns, n_layers, gap) == g
 
 
 def test_mean_sides():
