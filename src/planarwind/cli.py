@@ -35,7 +35,7 @@ from .estimator import (
     CoefficientSet,
     inductance,
 )
-from .geometry import GeometryError, InfeasibleGeometryError, canonicalize, mean_sides
+from .geometry import GeometryError, InfeasibleGeometryError, canonicalize, mean_side
 from .optimizer import (
     DEFAULT_RESOLUTION,
     InfeasibleProblemError,
@@ -73,6 +73,24 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+def _checked(convert, test, wants: str):
+    """argparse type: convert, then reject values failing test before any work runs."""
+    def parse(text: str):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {wants}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_SEED = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_NONNEGATIVE = _checked(_finite_float, lambda v: v >= 0.0, ">= 0")
+_POSITIVE = _checked(_finite_float, lambda v: v > 0.0, "> 0")
+_FRACTION = _checked(_finite_float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _write_json(path, mapping) -> None:
@@ -122,14 +140,13 @@ def _cmd_estimate(args) -> int:
             raise UsageError("the mohan model is single-layer, use --NL 1")
         if args.D1 != args.D2:
             raise UsageError("the mohan model is square, use --D1 equal to --D2")
-    sides = mean_sides(geometry)
     fields = {
         "model": model,
         "L_uH": h_to_uh(inductance(geometry, coefficients)),
         "d1_mm": m_to_mm(geometry.d1),
         "d2_mm": m_to_mm(geometry.d2),
-        "Dbar1_mm": m_to_mm(sides.Dbar1),
-        "Dbar2_mm": m_to_mm(sides.Dbar2),
+        "Dbar1_mm": m_to_mm(mean_side(geometry.D1, geometry.d1)),
+        "Dbar2_mm": m_to_mm(mean_side(geometry.D2, geometry.d2)),
     }
     if args.format == "json":
         text = json.dumps(fields, indent=2) + "\n"
@@ -236,10 +253,6 @@ def _parse_resolution(text: str) -> dict:
 
 
 def _cmd_optimize(args) -> int:
-    if args.restarts < 1:
-        raise UsageError(f"--restarts must be >= 1, got {args.restarts}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.resolution is not None and not args.oracle:
         raise UsageError("--resolution needs --oracle")
     resolution = _parse_resolution(args.resolution) if args.resolution else None
@@ -310,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--out", required=True, metavar="FILE", help="output CSV")
     grid.add_argument("--labels", default=None, metavar="FILE",
                       help="label with this coefficient JSON (or 'default')")
-    grid.add_argument("--noise", type=_finite_float, default=0.0,
+    grid.add_argument("--noise", type=_NONNEGATIVE, default=0.0,
                       help="log10 noise sigma for labels (default 0)")
-    grid.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
+    grid.add_argument("--seed", type=_SEED, default=0, help="noise seed (default 0)")
     grid.set_defaults(func=_cmd_grid)
 
     synth = commands.add_parser("synth", help="label geometries with model inductance")
@@ -320,25 +333,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="geometry CSV")
     synth.add_argument("--coeffs", required=True, metavar="FILE",
                        help="coefficient JSON (or 'default')")
-    synth.add_argument("--noise", type=_finite_float, default=0.0,
+    synth.add_argument("--noise", type=_NONNEGATIVE, default=0.0,
                        help="log10 noise sigma (default 0)")
-    synth.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
+    synth.add_argument("--seed", type=_SEED, default=0, help="noise seed (default 0)")
     synth.add_argument("--out", required=True, metavar="FILE", help="output CSV")
     synth.set_defaults(func=_cmd_synth)
 
     fit = commands.add_parser("fit", help="fit model coefficients to labeled samples")
     fit.add_argument("--in", dest="input", required=True, metavar="FILE",
                      help="labeled sample CSV")
-    fit.add_argument("--fraction", type=_finite_float, default=0.8,
+    fit.add_argument("--fraction", type=_FRACTION, default=0.8,
                      help="training fraction (default 0.8)")
-    fit.add_argument("--seed", type=int, default=0, help="split seed (default 0)")
-    fit.add_argument("--repeats", type=int, default=1,
+    fit.add_argument("--seed", type=_SEED, default=0, help="split seed (default 0)")
+    fit.add_argument("--repeats", type=_POSITIVE_INT, default=1,
                      help="fits with derived seeds; coefficients come from the first")
     fit.add_argument("--out", required=True, metavar="FILE", help="coefficient JSON")
     fit.add_argument("--report", default=None, metavar="FILE", help="report JSON")
-    fit.add_argument("--threshold", type=_finite_float, default=5.0,
+    fit.add_argument("--threshold", type=_NONNEGATIVE, default=5.0,
                      help="exceedance threshold, percent (default 5)")
-    fit.add_argument("--bin-width", type=_finite_float, default=0.5,
+    fit.add_argument("--bin-width", type=_POSITIVE, default=0.5,
                      help="histogram bin width, percent (default 0.5)")
     fit.set_defaults(func=_cmd_fit)
 
@@ -347,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="labeled sample CSV")
     ev.add_argument("--coeffs", required=True, metavar="FILE",
                     help="coefficient JSON (or 'default')")
-    ev.add_argument("--threshold", type=_finite_float, default=5.0,
+    ev.add_argument("--threshold", type=_NONNEGATIVE, default=5.0,
                     help="exceedance threshold, percent (default 5)")
-    ev.add_argument("--bin-width", type=_finite_float, default=0.5,
+    ev.add_argument("--bin-width", type=_POSITIVE, default=0.5,
                     help="histogram bin width, percent (default 0.5)")
     ev.add_argument("--report", required=True, metavar="FILE", help="report JSON")
     ev.add_argument("--hist", default=None, metavar="FILE",
@@ -359,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     opt = commands.add_parser("optimize", help="maximize inductance under bounds")
     opt.add_argument("--problem", required=True, metavar="FILE",
                      help="problem JSON, or 'default' for the reference task")
-    opt.add_argument("--restarts", type=int, default=100,
+    opt.add_argument("--restarts", type=_POSITIVE_INT, default=100,
                      help="local searches per turn count (default 100)")
-    opt.add_argument("--seed", type=int, default=0, help="start-point seed (default 0)")
+    opt.add_argument("--seed", type=_SEED, default=0, help="start-point seed (default 0)")
     opt.add_argument("--out", required=True, metavar="FILE", help="result JSON")
     opt.add_argument("--oracle", action="store_true",
                      help="also run the exhaustive grid oracle and compare")

@@ -20,6 +20,7 @@ from .geometry import (
     InfeasibleGeometryError,
     WindingGeometry,
     derive_inner_side,
+    is_integer,
     meets_min_inner,
 )
 from .units import h_to_uh, m_to_mm, mm_to_m, uh_to_h
@@ -87,8 +88,8 @@ class GridSpec:
             values = getattr(self, name)
             if len(values) == 0:
                 raise ValueError(f"{name} must not be empty")
-            if any(v < 1 for v in values):
-                raise ValueError(f"{name} must be >= 1, got {values}")
+            if not all(is_integer(v) and v >= 1 for v in values):
+                raise ValueError(f"{name} must be integers >= 1, got {values}")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} contains duplicates: {values}")
         if not all(0 < v < math.inf for v in self.O_values):
@@ -99,6 +100,8 @@ class GridSpec:
             raise ValueError("O_values must not be empty when NL_values includes multilayer counts")
         if not 0 <= self.min_inner < math.inf:
             raise ValueError(f"min_inner must be >= 0 and finite, got {self.min_inner}")
+        if not isinstance(self.strict_inner, bool):
+            raise ValueError(f"strict_inner must be true or false, got {self.strict_inner!r}")
 
     def to_mapping(self) -> dict:
         return {
@@ -126,10 +129,10 @@ class GridSpec:
             w_values=tuple(float(v) for v in mapping["w_values"]),
             s_values=tuple(float(v) for v in mapping["s_values"]),
             O_values=tuple(float(v) for v in mapping["O_values"]),
-            NT_values=tuple(int(v) for v in mapping["NT_values"]),
-            NL_values=tuple(int(v) for v in mapping["NL_values"]),
+            NT_values=tuple(mapping["NT_values"]),
+            NL_values=tuple(mapping["NL_values"]),
             min_inner=float(mapping.get("min_inner", 0.0)),
-            strict_inner=bool(mapping.get("strict_inner", False)),
+            strict_inner=mapping.get("strict_inner", False),
         )
 
 

@@ -30,7 +30,6 @@ from .geometry import (
     GeometryError,
     IncompleteGeometryError,
     WindingGeometry,
-    derive_inner_side,
     mean_side,
     require_integer,
 )
@@ -171,14 +170,11 @@ def inductance_square(
     """Inductance of a square winding (D1 = D2 = D), in henries.
 
     For a square winding the D1/D2 factors collapse to D^(a1+a2) and the
-    mean-side factors to Dbar^(a3+a4).  Evaluation goes through the same
-    arithmetic path as the general model, so the result is bit-for-bit
-    identical to :func:`inductance` on the equivalent rectangle.
+    mean-side factors to Dbar^(a3+a4).  This is :func:`inductance` on the
+    equivalent :class:`WindingGeometry`, so it validates its inputs the same
+    way and its result is bit-for-bit identical.
     """
-    d = derive_inner_side(D, n_turns, w, s)
-    return inductance_from_dims(
-        D, D, d, d, w, s, n_turns, n_layers, layer_gap, coefficients=coefficients
-    )
+    return inductance(WindingGeometry(D, D, w, s, n_turns, n_layers, layer_gap), coefficients)
 
 
 def inductance_simplified(geometry: WindingGeometry) -> float:

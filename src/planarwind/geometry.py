@@ -45,9 +45,14 @@ def mean_side(D, d):
     return (D + d) / 2.0
 
 
+def is_integer(count) -> bool:
+    """True if count has __index__ (int, NumPy integers) and is no bool: a valid count type."""
+    return not isinstance(count, bool) and hasattr(count, "__index__")
+
+
 def require_integer(name: str, count) -> None:
-    """Raise GeometryError unless count has __index__ (int, NumPy integers) and is no bool."""
-    if isinstance(count, bool) or not hasattr(count, "__index__"):
+    """Raise GeometryError unless :func:`is_integer` accepts count."""
+    if not is_integer(count):
         raise GeometryError(f"{name} must be an integer, got {count!r}")
 
 
@@ -136,22 +141,6 @@ class WindingGeometry:
         object.__setattr__(self, "d2", derive_inner_side(self.D2, self.n_turns, self.w, self.s))
 
 
-@dataclass(frozen=True)
-class MeanSides:
-    """Mean side lengths Dbar_i = (D_i + d_i) / 2, in meters."""
-
-    Dbar1: float
-    Dbar2: float
-
-
-def mean_sides(geometry: WindingGeometry) -> MeanSides:
-    """Mean of outer and inner side lengths for both axes."""
-    return MeanSides(
-        Dbar1=mean_side(geometry.D1, geometry.d1),
-        Dbar2=mean_side(geometry.D2, geometry.d2),
-    )
-
-
 def canonicalize(
     D1: float,
     D2: float,
@@ -219,52 +208,22 @@ def validate(
     min_inner: float = 0.0,
     strict: bool = False,
 ) -> ValidationReport:
-    """Run all geometric feasibility checks on a winding.
+    """Check both inner sides of a winding against a minimum.
 
-    The constructor already rejects windings that violate the structural
-    rules, so on a constructed geometry only the minimum inner side checks
-    can fail.  The full report is still produced: it documents every rule
-    and guards against objects built by bypassing the constructor.
+    The constructor is the one statement of a valid winding, so a
+    constructed geometry can fail only these minimum inner side rules.
 
     Args:
         geometry: the winding to check.
         min_inner: minimum inner side length (m), default 0.
         strict: require d > min_inner instead of d >= min_inner.
     """
-    checks = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append(ValidationCheck(name=name, passed=bool(passed), detail=detail))
-
-    g = geometry
-    check(
-        "positive_lengths",
-        g.D1 > 0 and g.D2 > 0 and g.w > 0 and g.s > 0,
-        f"D1={g.D1}, D2={g.D2}, w={g.w}, s={g.s}",
-    )
-    check("counts", g.n_turns >= 1 and g.n_layers >= 1, f"n_turns={g.n_turns}, n_layers={g.n_layers}")
-    check("sides_ordered", g.D1 <= g.D2, f"D1={g.D1}, D2={g.D2}")
-    d1_expected = inner_side(g.D1, g.n_turns, g.w, g.s)
-    d2_expected = inner_side(g.D2, g.n_turns, g.w, g.s)
-    check(
-        "inner_sides_consistent",
-        g.d1 == d1_expected and g.d2 == d2_expected,
-        f"d1={g.d1} (expected {d1_expected}), d2={g.d2} (expected {d2_expected})",
-    )
-    check("inner_sides_positive", g.d1 > 0 and g.d2 > 0, f"d1={g.d1}, d2={g.d2}")
-    gap_ok = (g.layer_gap is None) == (g.n_layers == 1)
-    if g.n_layers >= 2 and g.layer_gap is not None:
-        gap_ok = gap_ok and g.layer_gap > 0
-    check("layer_gap_presence", gap_ok, f"n_layers={g.n_layers}, layer_gap={g.layer_gap}")
     op = ">" if strict else ">="
-    check(
-        "min_inner_d1",
-        meets_min_inner(g.d1, min_inner, strict),
-        f"d1={g.d1} {op} {min_inner}",
-    )
-    check(
-        "min_inner_d2",
-        meets_min_inner(g.d2, min_inner, strict),
-        f"d2={g.d2} {op} {min_inner}",
-    )
-    return ValidationReport(checks=tuple(checks))
+    return ValidationReport(checks=tuple(
+        ValidationCheck(
+            name=f"min_inner_{axis}",
+            passed=meets_min_inner(d, min_inner, strict),
+            detail=f"{axis}={d} {op} {min_inner}",
+        )
+        for axis, d in (("d1", geometry.d1), ("d2", geometry.d2))
+    ))

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .estimator import DEFAULT_COEFFICIENTS, CoefficientSet, inductance, inductance_from_dims
-from .geometry import WindingGeometry, inner_side
+from .geometry import WindingGeometry, inner_side, is_integer
 from .units import h_to_uh, m_to_mm, mm_to_m
 
 BOUND_KEYS = ("D1", "D2", "d1", "d2", "w", "s")
@@ -71,11 +71,11 @@ class OptimizationProblem:
                 raise ValueError(f"lower bound for {key} must be positive, got {lo}")
         if len(self.NT_domain) == 0:
             raise ValueError("NT_domain must not be empty")
-        if any(nt < 1 for nt in self.NT_domain):
+        if not all(is_integer(nt) and nt >= 1 for nt in self.NT_domain):
             raise ValueError(f"NT_domain must be positive integers, got {self.NT_domain}")
         object.__setattr__(self, "NT_domain", tuple(sorted(set(int(nt) for nt in self.NT_domain))))
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        if not (is_integer(self.n_layers) and self.n_layers >= 1):
+            raise ValueError(f"n_layers must be an integer >= 1, got {self.n_layers!r}")
         if self.n_layers == 1:
             object.__setattr__(self, "layer_gap", None)
         elif self.layer_gap is None or not 0 < self.layer_gap < math.inf:
@@ -110,15 +110,14 @@ class OptimizationProblem:
             bounds[key] = (mm_to_m(float(pair[0])), mm_to_m(float(pair[1])))
         if "NT" not in mapping:
             raise ValueError("problem is missing the NT domain")
-        n_layers = int(mapping.get("NL", 1))
         gap = mapping.get("O_mm")
         coefficients = DEFAULT_COEFFICIENTS
         if "coefficients" in mapping:
             coefficients = CoefficientSet.from_mapping(mapping["coefficients"])
         return cls(
             bounds=bounds,
-            NT_domain=tuple(int(v) for v in mapping["NT"]),
-            n_layers=n_layers,
+            NT_domain=tuple(mapping["NT"]),
+            n_layers=mapping.get("NL", 1),
             layer_gap=mm_to_m(float(gap)) if gap is not None else None,
             coefficients=coefficients,
         )

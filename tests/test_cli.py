@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from planarwind import DEFAULT_COEFFICIENTS, GridSpec, inductance, read_csv, read_geometry_csv
+from planarwind import (
+    DEFAULT_COEFFICIENTS,
+    GridSpec,
+    default_problem,
+    inductance,
+    read_csv,
+    read_geometry_csv,
+)
 from planarwind.cli import main
 
 
@@ -424,6 +431,66 @@ class TestOptimize:
                                flag, value, "--out", str(out))
             assert code == 2 and flag in err
             assert not out.exists()
+
+
+# optimize --restarts 0 and --seed -1 are in TestOptimize.test_bad_restart_count.
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("fit", "--repeats", "0", "must be >= 1, got '0'"),
+    ("fit", "--fraction", "1.5", "must be in (0, 1), got '1.5'"),
+    ("fit", "--fraction", "0", "must be in (0, 1), got '0'"),
+    ("fit", "--seed", "-1", "must be >= 0, got '-1'"),
+    ("fit", "--threshold", "-1", "must be >= 0, got '-1'"),
+    ("fit", "--bin-width", "0", "must be > 0, got '0'"),
+    ("eval", "--bin-width", "0", "must be > 0, got '0'"),
+    ("eval", "--threshold", "-1", "must be >= 0, got '-1'"),
+    ("grid", "--seed", "-1", "must be >= 0, got '-1'"),
+    ("grid", "--noise", "-1", "must be >= 0, got '-1'"),
+    ("synth", "--seed", "-1", "must be >= 0, got '-1'"),
+    ("synth", "--noise", "-1", "must be >= 0, got '-1'"),
+    ("synth", "--noise", "nan", "must be finite, got 'nan'"),
+    ("optimize", "--seed", "x", "invalid int value: 'x'"),
+])
+def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, labeled_corpus,
+                                            command, flag, value, message):
+    # Checked as the flag is parsed: no input is read and nothing is written.
+    out = tmp_path / "out"
+    args = {
+        "fit": ["--in", str(labeled_corpus), "--out", str(out)],
+        "eval": ["--in", str(labeled_corpus), "--coeffs", "default", "--report", str(out)],
+        "grid": ["--spec", "A", "--labels", "default", "--out", str(out)],
+        "synth": ["--in", str(labeled_corpus), "--coeffs", "default", "--out", str(out)],
+        "optimize": ["--problem", "default", "--out", str(out)],
+    }[command]
+    code, stdout, err = run(capsys, command, *args, flag, value)
+    assert code == 2 and stdout == ""
+    assert f"argument {flag}: {message}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("optimize", "NT", [8.7]),
+    ("optimize", "NT", ["8"]),
+    ("optimize", "NT", [True]),
+    ("optimize", "NL", 4.9),
+    ("grid", "NT_values", [6.9]),
+    ("grid", "NL_values", [1.5]),
+    ("grid", "strict_inner", "false"),
+])
+def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, command, key, value):
+    if command == "grid":
+        path = small_spec_file(tmp_path, **{key: value})
+        args = ["--spec", str(path)]
+    else:
+        mapping = default_problem().to_mapping()
+        mapping[key] = value
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(mapping))
+        args = ["--problem", str(path), "--restarts", "1"]
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, *args, "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert "error:" in err
+    assert not out.exists()
 
 
 class TestDeterminism:

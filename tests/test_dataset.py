@@ -4,6 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+import numpy as np
 from hypothesis import assume, given, strategies as st
 
 from planarwind import (
@@ -72,6 +73,27 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=f"{field} must be"):
             small_spec(**{field: value if field == "min_inner" else (70.0, value)})
 
+    @pytest.mark.parametrize("field, value", [
+        ("NT_values", [6.9]),
+        ("NT_values", [6.0]),
+        ("NT_values", ["8"]),
+        ("NT_values", [True]),
+        ("NL_values", [1.5]),
+        ("strict_inner", "false"),
+        ("strict_inner", 0),
+        ("strict_inner", None),
+    ])
+    def test_from_mapping_rejects_non_integer_counts_and_non_boolean_strict(self, field, value):
+        # Counts follow the WindingGeometry rule; nothing is truncated or coerced.
+        mapping = small_spec().to_mapping()
+        mapping[field] = value
+        with pytest.raises(ValueError, match=field):
+            GridSpec.from_mapping(mapping)
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = small_spec(NT_values=(np.int64(6),), NL_values=(np.int32(1), np.int64(2)))
+        assert generate_grid(spec) == generate_grid(small_spec())
+
     def test_single_layer_spec_needs_no_gaps(self):
         # Two side values make three ordered (D1, D2) pairs.
         spec = small_spec(O_values=(), NL_values=(1,))
@@ -138,6 +160,24 @@ class TestSplit:
         assert train.isdisjoint(held)
         assert train | held == set(range(101))
         assert split.train == tuple(sorted(split.train))
+
+    @given(
+        n=st.integers(2, 500),
+        fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_properties(self, n, fraction, seed):
+        n_train = round(fraction * n)
+        if not 1 <= n_train <= n - 1:
+            with pytest.raises(ValueError, match="empty subset"):
+                split_train_eval(range(n), fraction, seed)
+            return
+        split = split_train_eval(range(n), fraction, seed)
+        assert set(split.train).isdisjoint(split.eval)
+        assert sorted(split.train + split.eval) == list(range(n))
+        assert list(split.train) == sorted(split.train)
+        assert list(split.eval) == sorted(split.eval)
+        assert len(split.train) == n_train
 
     def test_deterministic_and_seed_sensitive(self):
         items = list(range(200))

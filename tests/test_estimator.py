@@ -137,6 +137,26 @@ def test_square_equals_full_on_square_inputs():
         assert via_square == inductance(g)
 
 
+@pytest.mark.parametrize("n_turns, n_layers, gap", [
+    (5, 0, None),
+    (5, True, None),
+    (5, 2.5, 0.001),
+    (5.0, 1, None),
+    (5, 2, math.nan),
+    (5, 2, -0.001),
+])
+def test_square_rejects_what_the_geometry_rejects(n_turns, n_layers, gap):
+    with pytest.raises(GeometryError):
+        inductance_square(0.1, 0.005, 0.001, n_turns, n_layers, gap)
+    with pytest.raises(GeometryError):
+        WindingGeometry(0.1, 0.1, 0.005, 0.001, n_turns, n_layers, gap)
+
+
+def test_square_accepts_numpy_integer_counts():
+    g = WindingGeometry(0.1, 0.1, 0.005, 0.001, 5, 2, 0.001)
+    assert inductance_square(0.1, 0.005, 0.001, np.int64(5), np.int32(2), 0.001) == inductance(g)
+
+
 def test_simplified_close_to_full():
     g = make_geometry(100.0, 100.0, 4.0, 2.0, 1.60, 5, 2)
     assert inductance_simplified(g) * 1e6 == pytest.approx(9.877048821442576, rel=1e-12)

@@ -13,7 +13,7 @@ from planarwind import (
     WindingGeometry,
     canonicalize,
     derive_inner_side,
-    mean_sides,
+    mean_side,
     meets_min_inner,
     validate,
 )
@@ -122,9 +122,8 @@ def test_canonicalize_is_idempotent(sides, w, s, n_turns, n_layers, gap):
 
 def test_mean_sides():
     g = WindingGeometry(0.1, 0.1, 0.004, 0.002, 5, 1)
-    sides = mean_sides(g)
-    assert sides.Dbar1 == pytest.approx(0.072, rel=1e-12)
-    assert sides.Dbar2 == pytest.approx(0.072, rel=1e-12)
+    assert mean_side(g.D1, g.d1) == pytest.approx(0.072, rel=1e-12)
+    assert mean_side(g.D2, g.d2) == pytest.approx(0.072, rel=1e-12)
 
 
 def test_meets_min_inner_boundary_is_decimal_exact():
@@ -144,9 +143,7 @@ def test_validate_passes_constructed_geometry():
     report = validate(g)
     assert report.passed
     assert report.failures() == ()
-    names = [check.name for check in report.checks]
-    assert "inner_sides_consistent" in names
-    assert "layer_gap_presence" in names
+    assert [check.name for check in report.checks] == ["min_inner_d1", "min_inner_d2"]
 
 
 def test_validate_flags_min_inner():
@@ -155,6 +152,12 @@ def test_validate_flags_min_inner():
     assert not report.passed
     failed = {check.name for check in report.failures()}
     assert failed == {"min_inner_d1", "min_inner_d2"}
+
+
+def test_validate_names_the_failing_side():
+    g = WindingGeometry(0.070, 0.100, 0.005, 0.0005, 6, 1)  # d1 = 4 mm, d2 = 34 mm
+    failed = validate(g, min_inner=mm_to_m(17.0)).failures()
+    assert [check.name for check in failed] == ["min_inner_d1"]
 
 
 def test_validate_strict_at_boundary():

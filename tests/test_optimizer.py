@@ -142,6 +142,29 @@ class TestProblemMapping:
             OptimizationProblem.from_mapping(multilayer)
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("NT", [8.7]),
+        ("NT", [8.0]),
+        ("NT", ["8"]),
+        ("NT", [True]),
+        ("NL", 4.9),
+        ("NL", "4"),
+        ("NL", True),
+    ])
+    def test_mapping_rejects_non_integer_counts(self, key, value):
+        # Counts follow the WindingGeometry rule; nothing is truncated or coerced.
+        mapping = default_problem().to_mapping()
+        mapping[key] = value
+        with pytest.raises(ValueError, match="NT_domain" if key == "NT" else "n_layers"):
+            OptimizationProblem.from_mapping(mapping)
+
+    def test_accepts_numpy_integer_counts(self):
+        p = small_problem(NT_domain=(np.int64(6), np.int32(3)), n_layers=np.int64(2),
+                          layer_gap=0.0005)
+        assert p.NT_domain == (3, 6) and all(type(nt) is int for nt in p.NT_domain)
+        assert p.n_layers == 2
+
+
 class TestFeasible:
     def corner(self):
         return (mm_to_m(54.0), mm_to_m(101.0), mm_to_m(2.5), mm_to_m(0.1), 8)
