@@ -35,17 +35,17 @@ from .estimator import (
     CoefficientSet,
     inductance,
 )
-from .geometry import GeometryError, InfeasibleGeometryError, canonicalize, mean_side
+from .geometry import GeometryError, canonicalize, mean_side
 from .optimizer import (
-    DEFAULT_RESOLUTION,
     InfeasibleProblemError,
     OptimizationProblem,
     brute_force_max,
     default_problem,
     maximize,
+    resolution_steps,
 )
 from .regression import RankDeficiencyError, evaluate, repeated_fit
-from .units import h_to_uh, m_to_mm, mm_to_m
+from .units import h_to_uh, json_field, m_to_mm, mm_to_m
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -101,7 +101,7 @@ def _write_json(path, mapping) -> None:
 
 def _load_json(path):
     with open(path) as handle:
-        return json.load(handle)
+        return json_field(path, json.load(handle), "object")
 
 
 def _load_coefficients(spec: str) -> CoefficientSet:
@@ -237,19 +237,14 @@ def _parse_resolution(text: str) -> dict:
     steps = {}
     for item in text.split(","):
         key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in DEFAULT_RESOLUTION:
-            raise UsageError(
-                f"bad --resolution entry {item!r}, keys are D1, D2, w, s (values in mm)"
-            )
         try:
-            step = float(value)
+            steps[key.strip()] = mm_to_m(float(value))
         except ValueError:
             raise UsageError(f"bad --resolution value in {item!r}") from None
-        if not math.isfinite(step):
-            raise UsageError(f"bad --resolution value in {item!r}, must be finite")
-        steps[key] = mm_to_m(step)
-    return steps
+    try:
+        return resolution_steps(steps)
+    except ValueError as exc:
+        raise UsageError(f"bad --resolution {text!r} (values in mm): {exc}") from None
 
 
 def _cmd_optimize(args) -> int:
@@ -401,10 +396,7 @@ def main(argv=None) -> int:
     except RankDeficiencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InfeasibleGeometryError, InfeasibleProblemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except GeometryError as exc:
+    except (GeometryError, InfeasibleProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except json.JSONDecodeError as exc:

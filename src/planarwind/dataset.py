@@ -7,6 +7,7 @@ returned to callers is SI (see :mod:`planarwind.units`).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,15 +16,8 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .estimator import CoefficientSet, inductance
-from .geometry import (
-    GeometryError,
-    InfeasibleGeometryError,
-    WindingGeometry,
-    derive_inner_side,
-    is_integer,
-    meets_min_inner,
-)
-from .units import h_to_uh, m_to_mm, mm_to_m, uh_to_h
+from .geometry import GeometryError, WindingGeometry, inner_side, is_integer, meets_min_inner
+from .units import h_to_uh, json_field, m_to_mm, mm_to_m, uh_to_h
 
 SOURCES = ("simulated", "measured", "synthetic")
 
@@ -123,15 +117,17 @@ class GridSpec:
         missing = [key for key in required if key not in mapping]
         if missing:
             raise ValueError(f"grid spec is missing {', '.join(missing)}")
+        lengths = {
+            name: tuple(
+                json_field(name, v, "number") for v in json_field(name, mapping[name], "list")
+            )
+            for name in ("D1_values", "D2_values", "w_values", "s_values", "O_values")
+        }
         return cls(
-            D1_values=tuple(float(v) for v in mapping["D1_values"]),
-            D2_values=tuple(float(v) for v in mapping["D2_values"]),
-            w_values=tuple(float(v) for v in mapping["w_values"]),
-            s_values=tuple(float(v) for v in mapping["s_values"]),
-            O_values=tuple(float(v) for v in mapping["O_values"]),
-            NT_values=tuple(mapping["NT_values"]),
-            NL_values=tuple(mapping["NL_values"]),
-            min_inner=float(mapping.get("min_inner", 0.0)),
+            **lengths,
+            NT_values=json_field("NT_values", mapping["NT_values"], "list"),
+            NL_values=json_field("NL_values", mapping["NL_values"], "list"),
+            min_inner=json_field("min_inner", mapping.get("min_inner", 0.0), "number"),
             strict_inner=mapping.get("strict_inner", False),
         )
 
@@ -182,31 +178,22 @@ def generate_grid(spec: GridSpec) -> list[WindingGeometry]:
     whose turns do not fit or whose inner side misses min_inner.
     """
     min_inner_m = mm_to_m(spec.min_inner)
+    gaps = tuple(mm_to_m(gap) for gap in spec.O_values)
     out: list[WindingGeometry] = []
-    for D1 in spec.D1_values:
-        for D2 in spec.D2_values:
-            if D1 > D2:
-                continue
-            for w in spec.w_values:
-                for s in spec.s_values:
-                    for nt in spec.NT_values:
-                        try:
-                            d1 = derive_inner_side(mm_to_m(D1), nt, mm_to_m(w), mm_to_m(s))
-                        except InfeasibleGeometryError:
-                            continue
-                        if not meets_min_inner(d1, min_inner_m, spec.strict_inner):
-                            continue
-                        for nl in spec.NL_values:
-                            if nl == 1:
-                                out.append(WindingGeometry(
-                                    mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s), nt, 1,
-                                ))
-                            else:
-                                for gap in spec.O_values:
-                                    out.append(WindingGeometry(
-                                        mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s),
-                                        nt, nl, mm_to_m(gap),
-                                    ))
+    for D1, D2, w, s, nt in itertools.product(
+        spec.D1_values, spec.D2_values, spec.w_values, spec.s_values, spec.NT_values,
+    ):
+        if D1 > D2:
+            continue
+        D1, D2, w, s = mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s)
+        # GridSpec guarantees positive, finite lengths and N_T >= 1, so the
+        # turns fit exactly when d1 > 0 (d2 >= d1 as D2 >= D1).
+        d1 = inner_side(D1, nt, w, s)
+        if not (d1 > 0.0 and meets_min_inner(d1, min_inner_m, spec.strict_inner)):
+            continue
+        for nl in spec.NL_values:
+            for gap in (None,) if nl == 1 else gaps:
+                out.append(WindingGeometry(D1, D2, w, s, nt, nl, gap))
     return out
 
 
@@ -309,28 +296,28 @@ def _format_row(geometry: WindingGeometry, L_uH: str, source: str) -> list[str]:
     ]
 
 
+def _write_rows(path: Union[str, Path], rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
+
+
 def write_csv(samples: Sequence[Sample], path: Union[str, Path]) -> None:
     """Write labeled samples as CSV, lengths in mm and inductance in uH.
 
     Lengths are written with 4 decimals (0.1 um); the label keeps 12
     significant digits so that noiseless labels survive a round trip.
     """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for sample in samples:
-            writer.writerow(_format_row(
-                sample.geometry, f"{h_to_uh(sample.L_ref):.12g}", sample.source,
-            ))
+    _write_rows(path, (
+        _format_row(sample.geometry, f"{h_to_uh(sample.L_ref):.12g}", sample.source)
+        for sample in samples
+    ))
 
 
 def write_geometry_csv(geometries: Sequence[WindingGeometry], path: Union[str, Path]) -> None:
     """Write unlabeled geometries in the sample CSV layout, label columns empty."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for geometry in geometries:
-            writer.writerow(_format_row(geometry, "", ""))
+    _write_rows(path, (_format_row(geometry, "", "") for geometry in geometries))
 
 
 def _parse_float(path, line: int, name: str, text: str) -> float:

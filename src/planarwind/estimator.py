@@ -33,6 +33,7 @@ from .geometry import (
     mean_side,
     require_integer,
 )
+from .units import json_field
 
 # Vacuum permeability, H/m.
 MU0 = 4.0e-7 * math.pi
@@ -93,7 +94,7 @@ class CoefficientSet:
         missing = [name for name in COEFFICIENT_NAMES if name not in mapping]
         if missing:
             raise ValueError(f"coefficient set is missing {', '.join(missing)}")
-        values = {name: float(mapping[name]) for name in COEFFICIENT_NAMES}
+        values = {name: json_field(name, mapping[name], "number") for name in COEFFICIENT_NAMES}
         return cls(label=str(mapping.get("label", "")), **values)
 
 

@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 
 from .estimator import DEFAULT_COEFFICIENTS, CoefficientSet, inductance, inductance_from_dims
 from .geometry import WindingGeometry, inner_side, is_integer
-from .units import h_to_uh, m_to_mm, mm_to_m
+from .units import h_to_uh, json_field, m_to_mm, mm_to_m
 
 BOUND_KEYS = ("D1", "D2", "d1", "d2", "w", "s")
 
@@ -107,18 +107,22 @@ class OptimizationProblem:
             pair = mapping[key]
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"bounds for {key} must be a [lower, upper] pair, got {pair!r}")
-            bounds[key] = (mm_to_m(float(pair[0])), mm_to_m(float(pair[1])))
+            bounds[key] = tuple(mm_to_m(json_field(key, v, "number")) for v in pair)
         if "NT" not in mapping:
             raise ValueError("problem is missing the NT domain")
-        gap = mapping.get("O_mm")
+        gap = None
+        if "O_mm" in mapping:
+            gap = mm_to_m(json_field("O_mm", mapping["O_mm"], "number"))
         coefficients = DEFAULT_COEFFICIENTS
         if "coefficients" in mapping:
-            coefficients = CoefficientSet.from_mapping(mapping["coefficients"])
+            coefficients = CoefficientSet.from_mapping(
+                json_field("coefficients", mapping["coefficients"], "object")
+            )
         return cls(
             bounds=bounds,
-            NT_domain=tuple(mapping["NT"]),
+            NT_domain=json_field("NT", mapping["NT"], "list"),
             n_layers=mapping.get("NL", 1),
-            layer_gap=mm_to_m(float(gap)) if gap is not None else None,
+            layer_gap=gap,
             coefficients=coefficients,
         )
 
@@ -146,6 +150,29 @@ DEFAULT_RESOLUTION = {
     "w": mm_to_m(0.1),
     "s": mm_to_m(0.1),
 }
+
+
+def resolution_steps(resolution: Optional[Mapping[str, float]] = None) -> dict[str, float]:
+    """The oracle's grid steps (m): DEFAULT_RESOLUTION with the given ones in place.
+
+    The one rule for a valid resolution.  Keys are D1, D2, w and s, and a
+    step must be finite and positive once rounded to the nanometer grid
+    on which :func:`brute_force_max` lays out its axes.
+
+    Raises:
+        ValueError: for an unknown key or a step outside that rule.
+    """
+    steps = dict(DEFAULT_RESOLUTION)
+    for key, value in (resolution or {}).items():
+        if key not in steps:
+            raise ValueError(f"unknown resolution key {key!r}, expected one of {tuple(steps)}")
+        step = float(value)
+        if not 0.0 < round(m_to_mm(step), 6) < math.inf:
+            raise ValueError(
+                f"resolution step for {key} must be positive and finite at 1 nm, got {step} m"
+            )
+        steps[key] = step
+    return steps
 
 
 def feasible(
@@ -412,23 +439,14 @@ def maximize(
                 value=value,
                 feasible=ok,
             ))
-    if best_point is None:
-        return OptimizationResult(
-            best=None,
-            L_best=None,
-            restarts_run=len(records),
-            feasible_found=False,
-            restarts=tuple(records),
-        )
-    geometry = WindingGeometry(
-        best_point[0], best_point[1], best_point[2], best_point[3],
-        best_point[4], problem.n_layers, problem.layer_gap,
+    best = None if best_point is None else WindingGeometry(
+        *best_point, problem.n_layers, problem.layer_gap,
     )
     return OptimizationResult(
-        best=geometry,
-        L_best=inductance(geometry, problem.coefficients),
+        best=best,
+        L_best=inductance(best, problem.coefficients) if best is not None else None,
         restarts_run=len(records),
-        feasible_found=True,
+        feasible_found=best is not None,
         restarts=tuple(records),
     )
 
@@ -439,8 +457,6 @@ def _axis(lo_m: float, hi_m: float, step_m: float) -> np.ndarray:
     lo = round(m_to_mm(lo_m), 6)
     hi = round(m_to_mm(hi_m), 6)
     step = round(m_to_mm(step_m), 6)
-    if step <= 0:
-        raise ValueError(f"resolution step must be positive, got {step_m}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     values_mm = np.round(lo + step * np.arange(count), 6)
     return values_mm[values_mm <= hi + 1e-9] * 1e-3
@@ -458,14 +474,10 @@ def brute_force_max(
     with a deterministic lexicographic tie-break on (D1, D2, w, s, N_T).
 
     Raises:
+        ValueError: if resolution breaks the rule of :func:`resolution_steps`.
         InfeasibleProblemError: if no grid point is feasible.
     """
-    steps = dict(DEFAULT_RESOLUTION)
-    if resolution is not None:
-        for key, value in resolution.items():
-            if key not in steps:
-                raise ValueError(f"unknown resolution key {key!r}, expected one of {tuple(steps)}")
-            steps[key] = float(value)
+    steps = resolution_steps(resolution)
     b = problem.bounds
     D1 = _axis(*b["D1"], steps["D1"])[:, None, None, None]
     D2 = _axis(*b["D2"], steps["D2"])[None, :, None, None]

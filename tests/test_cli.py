@@ -382,6 +382,9 @@ class TestOptimize:
         ("--oracle", "--resolution", "D1=nan"),
         ("--oracle", "--resolution", "s=inf"),
         ("--resolution", "D1=0.5"),
+        ("--oracle", "--resolution", "D1=0"),
+        ("--oracle", "--resolution", "D1=-0.5"),
+        ("--oracle", "--resolution", "w=1e-300"),
     ])
     def test_resolution_is_checked_before_the_search(self, capsys, tmp_path, flags):
         # A bad --resolution, or one without --oracle, fails before maximize
@@ -467,6 +470,7 @@ def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, labeled_corpus,
     assert not out.exists()
 
 
+# A key of None puts the value in place of the whole document.
 @pytest.mark.parametrize("command, key, value", [
     ("optimize", "NT", [8.7]),
     ("optimize", "NT", ["8"]),
@@ -475,19 +479,37 @@ def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, labeled_corpus,
     ("grid", "NT_values", [6.9]),
     ("grid", "NL_values", [1.5]),
     ("grid", "strict_inner", "false"),
+    ("optimize", "NT", 8),
+    ("optimize", "D1", [None, 54]),
+    ("optimize", "w", ["2.5", 5]),
+    ("optimize", "coefficients", 5),
+    ("grid", "NT_values", 6),
+    ("grid", "D1_values", [70.0, True]),
+    ("estimate", "a1", [1]),
+    ("estimate", "a7", "1.794"),
+    ("optimize", None, 5),
+    ("grid", None, 5),
+    ("estimate", None, 5),
 ])
 def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, command, key, value):
-    if command == "grid":
-        path = small_spec_file(tmp_path, **{key: value})
-        args = ["--spec", str(path)]
+    mapping = {
+        "grid": json.loads(small_spec_file(tmp_path).read_text()),
+        "optimize": default_problem().to_mapping(),
+        "estimate": DEFAULT_COEFFICIENTS.to_mapping(),
+    }[command]
+    if key is None:
+        mapping = value
     else:
-        mapping = default_problem().to_mapping()
         mapping[key] = value
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps(mapping))
-        args = ["--problem", str(path), "--restarts", "1"]
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(mapping))
     out = tmp_path / "out"
-    code, stdout, err = run(capsys, command, *args, "--out", str(out))
+    args = {
+        "grid": ["--spec", str(path), "--out", str(out)],
+        "optimize": ["--problem", str(path), "--restarts", "1", "--out", str(out)],
+        "estimate": [*TestEstimate.GOLDEN, "--coeffs", str(path), "--output", str(out)],
+    }[command]
+    code, stdout, err = run(capsys, command, *args)
     assert code == 3 and stdout == ""
     assert "error:" in err
     assert not out.exists()

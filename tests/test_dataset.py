@@ -28,6 +28,7 @@ from planarwind import (
     write_csv,
     write_geometry_csv,
 )
+from planarwind.geometry import InfeasibleGeometryError, derive_inner_side, meets_min_inner
 from planarwind.units import mm_to_m
 
 
@@ -82,9 +83,20 @@ class TestGridSpec:
         ("strict_inner", "false"),
         ("strict_inner", 0),
         ("strict_inner", None),
+        ("NT_values", 6),
+        ("NL_values", None),
+        ("D1_values", 70.0),
+        ("D2_values", {"70": 80}),
+        ("w_values", ["3"]),
+        ("s_values", [None]),
+        ("O_values", [[1.0]]),
+        ("D1_values", [70.0, True]),
+        ("min_inner", "17"),
+        ("min_inner", None),
     ])
     def test_from_mapping_rejects_non_integer_counts_and_non_boolean_strict(self, field, value):
-        # Counts follow the WindingGeometry rule; nothing is truncated or coerced.
+        # Counts follow the WindingGeometry rule and lists and lengths must have
+        # their JSON shape; nothing is truncated or coerced.
         mapping = small_spec().to_mapping()
         mapping[field] = value
         with pytest.raises(ValueError, match=field):
@@ -401,3 +413,66 @@ def test_csv_roundtrip_property(spec, noise, seed, sources):
     for original, restored in zip(samples, back):
         # The label is written with 12 significant digits.
         assert restored.L_ref == pytest.approx(original.L_ref, rel=1e-11)
+
+
+def _parent_generate_grid(spec):
+    """The nested-loop generate_grid that the single product loop replaced."""
+    min_inner_m = mm_to_m(spec.min_inner)
+    out = []
+    for D1 in spec.D1_values:
+        for D2 in spec.D2_values:
+            if D1 > D2:
+                continue
+            for w in spec.w_values:
+                for s in spec.s_values:
+                    for nt in spec.NT_values:
+                        try:
+                            d1 = derive_inner_side(mm_to_m(D1), nt, mm_to_m(w), mm_to_m(s))
+                        except InfeasibleGeometryError:
+                            continue
+                        if not meets_min_inner(d1, min_inner_m, spec.strict_inner):
+                            continue
+                        for nl in spec.NL_values:
+                            if nl == 1:
+                                out.append(WindingGeometry(
+                                    mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s), nt, 1,
+                                ))
+                            else:
+                                for gap in spec.O_values:
+                                    out.append(WindingGeometry(
+                                        mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s),
+                                        nt, nl, mm_to_m(gap),
+                                    ))
+    return out
+
+
+@st.composite
+def _edge_grid_specs(draw):
+    """Random grid specs, one of whose outer sides puts d1 exactly on min_inner.
+
+    min_inner is 0 or positive, strict_inner either setting, and turn
+    counts up to 12 on sides down to 20 mm leave many turns that do not fit.
+    """
+    w_values = draw(_distinct(_mm(0.2, 5.0), 2))
+    s_values = draw(_distinct(_mm(0.05, 2.0), 2))
+    NT_values = draw(_distinct(st.integers(1, 12), 3))
+    min_inner = draw(st.just(0.0) | _mm(0.0, 40.0))
+    w, s, nt = (draw(st.sampled_from(values)) for values in (w_values, s_values, NT_values))
+    edge = round(min_inner + 2 * nt * (w + s) - 2 * s, 4)
+    D1_values = draw(_distinct(_mm(20.0, 200.0), 2))
+    return GridSpec(
+        D1_values=D1_values if edge in D1_values else D1_values + (edge,),
+        D2_values=draw(_distinct(_mm(20.0, 200.0), 3)),
+        w_values=w_values,
+        s_values=s_values,
+        O_values=draw(_distinct(_mm(0.05, 3.0), 2)),
+        NT_values=NT_values,
+        NL_values=draw(_distinct(st.integers(1, 6), 3)),
+        min_inner=min_inner,
+        strict_inner=draw(st.booleans()),
+    )
+
+
+@given(spec=_edge_grid_specs())
+def test_generate_grid_matches_the_nested_loop(spec):
+    assert generate_grid(spec) == _parent_generate_grid(spec)

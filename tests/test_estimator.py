@@ -81,6 +81,14 @@ def test_coefficient_mapping_roundtrip():
         CoefficientSet.from_mapping({k: v for k, v in mapping.items() if k != "a7"})
 
 
+@pytest.mark.parametrize("value", [None, [1], {"a": 1}, "1.794", True])
+def test_coefficient_mapping_rejects_wrong_json_shapes(value):
+    mapping = DEFAULT_COEFFICIENTS.to_mapping()
+    mapping["a7"] = value
+    with pytest.raises(ValueError, match="a7"):
+        CoefficientSet.from_mapping(mapping)
+
+
 @pytest.mark.parametrize("row", GOLDEN)
 def test_inductance_golden(row):
     *dims, nt, nl, expected_uH = row

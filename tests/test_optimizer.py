@@ -18,7 +18,15 @@ from planarwind import (
     inductance_from_dims,
     maximize,
 )
-from planarwind.optimizer import _TINY, _box, _linear_system, _objective, _provably_empty
+from planarwind.optimizer import (
+    DEFAULT_RESOLUTION,
+    _TINY,
+    _box,
+    _linear_system,
+    _objective,
+    _provably_empty,
+    resolution_steps,
+)
 from planarwind.units import m_to_mm, mm_to_m
 
 
@@ -156,6 +164,25 @@ class TestProblemMapping:
         mapping = default_problem().to_mapping()
         mapping[key] = value
         with pytest.raises(ValueError, match="NT_domain" if key == "NT" else "n_layers"):
+            OptimizationProblem.from_mapping(mapping)
+
+    @pytest.mark.parametrize("key, value", [
+        ("NT", 8),
+        ("NT", None),
+        ("D1", [None, 54]),
+        ("D1", ["12", 54]),
+        ("w", [True, 5]),
+        ("d2", [54, [99]]),
+        ("O_mm", None),
+        ("O_mm", "0.5"),
+        ("O_mm", [0.5]),
+        ("coefficients", 5),
+        ("coefficients", [1.602]),
+    ])
+    def test_mapping_rejects_wrong_json_shapes(self, key, value):
+        mapping = default_problem().to_mapping()
+        mapping[key] = value
+        with pytest.raises(ValueError, match=key):
             OptimizationProblem.from_mapping(mapping)
 
     def test_accepts_numpy_integer_counts(self):
@@ -327,8 +354,12 @@ class TestBruteForce:
     def test_unknown_resolution_key(self):
         with pytest.raises(ValueError, match="unknown resolution key"):
             brute_force_max(default_problem(), {"d1": 0.001})
-        with pytest.raises(ValueError, match="positive"):
-            brute_force_max(default_problem(), {"w": 0.0})
+        # Steps must be positive and finite on the 1 nm grid of the axes.
+        for step in (0.0, -5e-4, 1e-303, 4e-10, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive"):
+                brute_force_max(default_problem(), {"w": step})
+        assert resolution_steps({"w": 1e-9})["w"] == 1e-9
+        assert resolution_steps() == DEFAULT_RESOLUTION
 
 
 class TestResultSerialization:
