@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
-    SampleFileError,
     dataset_a_spec,
     dataset_b_spec,
     dataset_c_spec,
@@ -42,6 +41,7 @@ from .optimizer import (
     brute_force_max,
     default_problem,
     maximize,
+    oracle_steps,
     resolution_steps,
 )
 from .regression import RankDeficiencyError, evaluate, repeated_fit
@@ -53,7 +53,9 @@ EXIT_INPUT = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
 
-_BUILTIN_SPECS = {"A": dataset_a_spec, "B": dataset_b_spec, "C": dataset_c_spec}
+# Each built-in corpus is one or more grid specs, generated in order.
+_BUILTIN_SPECS = {"A": (dataset_a_spec,), "B": (dataset_b_spec,), "C": (dataset_c_spec,),
+                  "AB": (dataset_a_spec, dataset_b_spec)}
 
 # Every --model is the one kernel with a coefficient set.  These two have
 # fixed sets; full and square take --coeffs (square is full on D1 = D2).
@@ -112,9 +114,7 @@ def _load_coefficients(spec: str) -> CoefficientSet:
 
 def _load_grid_specs(spec: str) -> list[GridSpec]:
     if spec in _BUILTIN_SPECS:
-        return [_BUILTIN_SPECS[spec]()]
-    if spec == "AB":
-        return [dataset_a_spec(), dataset_b_spec()]
+        return [make() for make in _BUILTIN_SPECS[spec]]
     return [GridSpec.from_mapping(_load_json(spec))]
 
 
@@ -166,30 +166,30 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_grid(args) -> int:
-    if args.labels is None and (args.noise != 0.0 or args.seed != 0):
-        raise UsageError("--noise and --seed need --labels")
-    geometries = []
-    for spec in _load_grid_specs(args.spec):
-        geometries.extend(generate_grid(spec))
-    if args.labels is None:
-        write_geometry_csv(geometries, args.out)
-        print(f"wrote {len(geometries)} windings to {args.out}")
-    else:
-        coefficients = _load_coefficients(args.labels)
-        samples = synth_labels(geometries, coefficients, args.noise, args.seed)
-        write_csv(samples, args.out)
-        print(f"wrote {len(samples)} labeled windings to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_synth(args) -> int:
-    geometries = read_geometry_csv(args.input)
+def _write_labeled(geometries, args) -> int:
+    """Label geometries with the --coeffs set, at --noise and --seed, and write them."""
     coefficients = _load_coefficients(args.coeffs)
     samples = synth_labels(geometries, coefficients, args.noise, args.seed)
     write_csv(samples, args.out)
     print(f"wrote {len(samples)} labeled windings to {args.out}")
     return EXIT_OK
+
+
+def _cmd_grid(args) -> int:
+    if args.coeffs is None and (args.noise != 0.0 or args.seed != 0):
+        raise UsageError("--noise and --seed need --labels")
+    geometries = []
+    for spec in _load_grid_specs(args.spec):
+        geometries.extend(generate_grid(spec))
+    if args.coeffs is not None:
+        return _write_labeled(geometries, args)
+    write_geometry_csv(geometries, args.out)
+    print(f"wrote {len(geometries)} windings to {args.out}")
+    return EXIT_OK
+
+
+def _cmd_synth(args) -> int:
+    return _write_labeled(read_geometry_csv(args.input), args)
 
 
 def _cmd_fit(args) -> int:
@@ -255,6 +255,11 @@ def _cmd_optimize(args) -> int:
         problem = default_problem()
     else:
         problem = OptimizationProblem.from_mapping(_load_json(args.problem))
+    if args.oracle:
+        try:
+            oracle_steps(problem, resolution)
+        except ValueError as exc:
+            raise UsageError(f"{exc}; use a coarser --resolution") from None
     result = maximize(problem, restarts=args.restarts, seed=args.seed)
     mapping = result.to_mapping()
     if result.feasible_found:
@@ -283,6 +288,19 @@ def _cmd_optimize(args) -> int:
         print("skipping the oracle, nothing to compare against")
     _write_json(args.out, mapping)
     return EXIT_OK
+
+
+def _add_label_flags(command) -> None:
+    command.add_argument("--noise", type=_NONNEGATIVE, default=0.0,
+                         help="log10 noise sigma for labels (default 0)")
+    command.add_argument("--seed", type=_SEED, default=0, help="noise seed (default 0)")
+
+
+def _add_report_flags(command) -> None:
+    command.add_argument("--threshold", type=_NONNEGATIVE, default=5.0,
+                         help="exceedance threshold, percent (default 5)")
+    command.add_argument("--bin-width", type=_POSITIVE, default=0.5,
+                         help="histogram bin width, percent (default 0.5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,11 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--spec", required=True, metavar="FILE",
                       help="grid spec JSON, or one of the built-in corpora A, B, C, AB")
     grid.add_argument("--out", required=True, metavar="FILE", help="output CSV")
-    grid.add_argument("--labels", default=None, metavar="FILE",
+    grid.add_argument("--labels", dest="coeffs", default=None, metavar="FILE",
                       help="label with this coefficient JSON (or 'default')")
-    grid.add_argument("--noise", type=_NONNEGATIVE, default=0.0,
-                      help="log10 noise sigma for labels (default 0)")
-    grid.add_argument("--seed", type=_SEED, default=0, help="noise seed (default 0)")
+    _add_label_flags(grid)
     grid.set_defaults(func=_cmd_grid)
 
     synth = commands.add_parser("synth", help="label geometries with model inductance")
@@ -328,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="geometry CSV")
     synth.add_argument("--coeffs", required=True, metavar="FILE",
                        help="coefficient JSON (or 'default')")
-    synth.add_argument("--noise", type=_NONNEGATIVE, default=0.0,
-                       help="log10 noise sigma (default 0)")
-    synth.add_argument("--seed", type=_SEED, default=0, help="noise seed (default 0)")
+    _add_label_flags(synth)
     synth.add_argument("--out", required=True, metavar="FILE", help="output CSV")
     synth.set_defaults(func=_cmd_synth)
 
@@ -344,10 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fits with derived seeds; coefficients come from the first")
     fit.add_argument("--out", required=True, metavar="FILE", help="coefficient JSON")
     fit.add_argument("--report", default=None, metavar="FILE", help="report JSON")
-    fit.add_argument("--threshold", type=_NONNEGATIVE, default=5.0,
-                     help="exceedance threshold, percent (default 5)")
-    fit.add_argument("--bin-width", type=_POSITIVE, default=0.5,
-                     help="histogram bin width, percent (default 0.5)")
+    _add_report_flags(fit)
     fit.set_defaults(func=_cmd_fit)
 
     ev = commands.add_parser("eval", help="evaluate coefficients on labeled samples")
@@ -355,10 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="labeled sample CSV")
     ev.add_argument("--coeffs", required=True, metavar="FILE",
                     help="coefficient JSON (or 'default')")
-    ev.add_argument("--threshold", type=_NONNEGATIVE, default=5.0,
-                    help="exceedance threshold, percent (default 5)")
-    ev.add_argument("--bin-width", type=_POSITIVE, default=0.5,
-                    help="histogram bin width, percent (default 0.5)")
+    _add_report_flags(ev)
     ev.add_argument("--report", required=True, metavar="FILE", help="report JSON")
     ev.add_argument("--hist", default=None, metavar="FILE",
                     help="also write the histogram as CSV")
@@ -390,10 +398,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SampleFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RankDeficiencyError as exc:
+    except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (GeometryError, InfeasibleProblemError) as exc:
@@ -402,9 +407,6 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON: {exc.msg} at line {exc.lineno}", file=sys.stderr)
         return EXIT_INPUT
-    except np.linalg.LinAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -70,26 +70,20 @@ class GridSpec:
     strict_inner: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("D1_values", "D2_values", "w_values", "s_values"):
+        length = (lambda v: 0 < v < math.inf, "positive and finite")
+        count = (lambda v: is_integer(v) and v >= 1, "integers >= 1")
+        for name, (valid, wants) in (
+            ("D1_values", length), ("D2_values", length), ("w_values", length),
+            ("s_values", length), ("NT_values", count), ("NL_values", count),
+            ("O_values", length),
+        ):
             values = getattr(self, name)
-            if len(values) == 0:
+            if len(values) == 0 and name != "O_values":
                 raise ValueError(f"{name} must not be empty")
-            if not all(0 < v < math.inf for v in values):
-                raise ValueError(f"{name} must be positive and finite, got {values}")
+            if not all(valid(v) for v in values):
+                raise ValueError(f"{name} must be {wants}, got {values}")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} contains duplicates: {values}")
-        for name in ("NT_values", "NL_values"):
-            values = getattr(self, name)
-            if len(values) == 0:
-                raise ValueError(f"{name} must not be empty")
-            if not all(is_integer(v) and v >= 1 for v in values):
-                raise ValueError(f"{name} must be integers >= 1, got {values}")
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} contains duplicates: {values}")
-        if not all(0 < v < math.inf for v in self.O_values):
-            raise ValueError(f"O_values must be positive and finite, got {self.O_values}")
-        if len(set(self.O_values)) != len(self.O_values):
-            raise ValueError(f"O_values contains duplicates: {self.O_values}")
         if max(self.NL_values) >= 2 and len(self.O_values) == 0:
             raise ValueError("O_values must not be empty when NL_values includes multilayer counts")
         if not 0 <= self.min_inner < math.inf:

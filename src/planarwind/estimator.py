@@ -95,7 +95,7 @@ class CoefficientSet:
         if missing:
             raise ValueError(f"coefficient set is missing {', '.join(missing)}")
         values = {name: json_field(name, mapping[name], "number") for name in COEFFICIENT_NAMES}
-        return cls(label=str(mapping.get("label", "")), **values)
+        return cls(label=json_field("label", mapping.get("label", ""), "string"), **values)
 
 
 # Coefficient sets, in the order a0..a9.  The reference set of the general model:

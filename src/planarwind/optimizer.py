@@ -175,6 +175,33 @@ def resolution_steps(resolution: Optional[Mapping[str, float]] = None) -> dict[s
     return steps
 
 
+# The oracle holds each N_T's grid as dense float64 arrays; 2**24 points is
+# 8x the default grid on the reference box.
+MAX_GRID_POINTS = 2 ** 24
+
+
+def oracle_steps(
+    problem: OptimizationProblem, resolution: Optional[Mapping[str, float]] = None
+) -> dict[str, float]:
+    """The steps of :func:`resolution_steps`, checked to keep the oracle grid in bounds.
+
+    The grid on problem's box may have at most MAX_GRID_POINTS points per
+    N_T.  The count comes from the axis layout of :func:`brute_force_max`,
+    before anything is allocated.
+
+    Raises:
+        ValueError: for a resolution outside the rule of
+            :func:`resolution_steps`, or a grid above the limit.
+    """
+    steps = resolution_steps(resolution)
+    points = math.prod(_axis_layout(*problem.bounds[key], steps[key])[3] for key in steps)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"the oracle grid has {points} points per N_T, above the limit of {MAX_GRID_POINTS}"
+        )
+    return steps
+
+
 def feasible(
     candidate: Sequence[float], problem: OptimizationProblem
 ) -> tuple[bool, float, float]:
@@ -350,6 +377,20 @@ def _better(value, point, best_value, best_point) -> bool:
     return value == best_value and point < best_point
 
 
+def _result(problem: OptimizationProblem, best_point, records) -> OptimizationResult:
+    """The result of a search: its best (D1, D2, w, s, N_T), if any, and its log."""
+    best = None if best_point is None else WindingGeometry(
+        *best_point, problem.n_layers, problem.layer_gap,
+    )
+    return OptimizationResult(
+        best=best,
+        L_best=inductance(best, problem.coefficients) if best is not None else None,
+        restarts_run=len(records),
+        feasible_found=best is not None,
+        restarts=tuple(records),
+    )
+
+
 def maximize(
     problem: OptimizationProblem, restarts: int = 100, seed: int = 0
 ) -> OptimizationResult:
@@ -439,25 +480,20 @@ def maximize(
                 value=value,
                 feasible=ok,
             ))
-    best = None if best_point is None else WindingGeometry(
-        *best_point, problem.n_layers, problem.layer_gap,
-    )
-    return OptimizationResult(
-        best=best,
-        L_best=inductance(best, problem.coefficients) if best is not None else None,
-        restarts_run=len(records),
-        feasible_found=best is not None,
-        restarts=tuple(records),
-    )
+    return _result(problem, best_point, records)
 
 
-def _axis(lo_m: float, hi_m: float, step_m: float) -> np.ndarray:
+def _axis_layout(lo_m: float, hi_m: float, step_m: float) -> tuple[float, float, float, int]:
     # Axes are laid out in mm and snapped to nm so grid points stay the
     # clean decimals the bounds were written with.
     lo = round(m_to_mm(lo_m), 6)
     hi = round(m_to_mm(hi_m), 6)
     step = round(m_to_mm(step_m), 6)
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    return lo, hi, step, int(math.floor((hi - lo) / step + 1e-9)) + 1
+
+
+def _axis(lo_m: float, hi_m: float, step_m: float) -> np.ndarray:
+    lo, hi, step, count = _axis_layout(lo_m, hi_m, step_m)
     values_mm = np.round(lo + step * np.arange(count), 6)
     return values_mm[values_mm <= hi + 1e-9] * 1e-3
 
@@ -474,10 +510,10 @@ def brute_force_max(
     with a deterministic lexicographic tie-break on (D1, D2, w, s, N_T).
 
     Raises:
-        ValueError: if resolution breaks the rule of :func:`resolution_steps`.
+        ValueError: if resolution breaks the rule of :func:`oracle_steps`.
         InfeasibleProblemError: if no grid point is feasible.
     """
-    steps = resolution_steps(resolution)
+    steps = oracle_steps(problem, resolution)
     b = problem.bounds
     D1 = _axis(*b["D1"], steps["D1"])[:, None, None, None]
     D2 = _axis(*b["D2"], steps["D2"])[None, :, None, None]
@@ -517,14 +553,4 @@ def brute_force_max(
         raise InfeasibleProblemError(
             "no feasible grid point in the box at this resolution"
         )
-    geometry = WindingGeometry(
-        best_point[0], best_point[1], best_point[2], best_point[3],
-        best_point[4], problem.n_layers, problem.layer_gap,
-    )
-    return OptimizationResult(
-        best=geometry,
-        L_best=inductance(geometry, problem.coefficients),
-        restarts_run=0,
-        feasible_found=True,
-        restarts=(),
-    )
+    return _result(problem, best_point, ())

@@ -133,19 +133,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray, label: str = "ols") -> CoefficientSet:
         _, _, pivots = qr(X, mode="economic", pivoting=True)
         dependent = sorted(FEATURE_NAMES[j] for j in pivots[rank:])
         raise RankDeficiencyError(rank, dependent)
-    return CoefficientSet(
-        a0=10.0 ** solution[0] / MU0,
-        a1=float(solution[1]),
-        a2=float(solution[2]),
-        a3=float(solution[3]),
-        a4=float(solution[4]),
-        a5=float(solution[5]),
-        a6=float(solution[6]),
-        a7=float(solution[7]),
-        a8=float(solution[8]),
-        a9=float(solution[9]),
-        label=label,
-    )
+    # Column j of X carries a_j (FEATURE_NAMES); the intercept gives a0.
+    return CoefficientSet(10.0 ** solution[0] / MU0, *solution[1:].tolist(), label=label)
 
 
 @dataclass(frozen=True)

@@ -28,15 +28,17 @@ def uh_to_h(value_uh: float) -> float:
 def json_field(name: str, value, kind: str):
     """A field read from a JSON document, checked to be of a kind.
 
-    kind "number" returns the value as a float, "list" as a tuple and
-    "object" as given.  Any other value raises ValueError naming the field:
-    null, strings and booleans (which Python counts as ints) are no
-    numbers, and only arrays are lists.
+    kind "number" returns the value as a float, "list" as a tuple, and
+    "object" and "string" as given.  Any other value raises ValueError
+    naming the field: null, strings and booleans (which Python counts as
+    ints) are no numbers, and only arrays are lists.
     """
     if kind == "number" and isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     if kind == "list" and isinstance(value, (list, tuple)):
         return tuple(value)
     if kind == "object" and isinstance(value, Mapping):
+        return value
+    if kind == "string" and isinstance(value, str):
         return value
     raise ValueError(f"{name} must be a JSON {kind}, got {value!r}")

@@ -1,16 +1,20 @@
+import argparse
 import json
 
+import numpy as np
 import pytest
 
 from planarwind import (
     DEFAULT_COEFFICIENTS,
     GridSpec,
+    dataset_a_spec,
     default_problem,
+    generate_grid,
     inductance,
     read_csv,
     read_geometry_csv,
 )
-from planarwind.cli import main
+from planarwind.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -112,6 +116,13 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", *self.GOLDEN, "--model", "mohan")
         assert code == 2 and "single-layer" in err
 
+    def test_mohan_model_is_square(self, capsys):
+        code, out, err = run(capsys, "estimate", "--D1", "100", "--D2", "120",
+                             "--w", "4", "--s", "2", "--NT", "5", "--NL", "1",
+                             "--model", "mohan")
+        assert (code, out) == (2, "")
+        assert "the mohan model is square" in err
+
     def test_coeffs_rejected_for_fixed_models(self, capsys):
         code, _, err = run(capsys, "estimate", *self.GOLDEN,
                            "--model", "simplified", "--coeffs", "default")
@@ -205,6 +216,18 @@ class TestGrid:
         for sample in samples[:25]:
             model = inductance(sample.geometry, DEFAULT_COEFFICIENTS)
             assert sample.L_ref == pytest.approx(model, rel=1e-11)
+
+    def test_builtin_corpus_ab_is_a_then_b(self, capsys, tmp_path):
+        out_csv = tmp_path / "ab.csv"
+        code, out, _ = run(capsys, "grid", "--spec", "AB", "--out", str(out_csv))
+        assert code == 0
+        assert out.strip() == f"wrote 6010 windings to {out_csv}"
+        rows = read_geometry_csv(out_csv)
+        n_a = len(generate_grid(dataset_a_spec()))
+        assert len(rows) == 6010 and n_a == 2060
+        # Corpus A has both sides 70..110 mm, corpus B 120..160 mm.
+        assert all(g.D2 <= 110e-3 + 1e-12 for g in rows[:n_a])
+        assert all(g.D1 >= 120e-3 - 1e-12 for g in rows[n_a:])
 
     def test_noise_needs_labels(self, capsys, tmp_path):
         code, _, err = run(capsys, "grid", "--spec", "A",
@@ -316,6 +339,18 @@ class TestFitAndEval:
         assert code == 5
         assert "rank" in err
 
+    def test_linalg_error_is_a_numerical_failure(self, capsys, tmp_path, labeled_corpus,
+                                                 monkeypatch):
+        def lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        out = tmp_path / "c.json"
+        code, stdout, err = run(capsys, "fit", "--in", str(labeled_corpus), "--out", str(out))
+        assert (code, stdout) == (5, "")
+        assert err == "error: SVD did not converge in Linear Least Squares\n"
+        assert not out.exists()
+
     def test_corrupt_row_reports_its_line(self, capsys, tmp_path, labeled_corpus):
         lines = labeled_corpus.read_text().splitlines()
         fields = lines[2].split(",")
@@ -385,6 +420,7 @@ class TestOptimize:
         ("--oracle", "--resolution", "D1=0"),
         ("--oracle", "--resolution", "D1=-0.5"),
         ("--oracle", "--resolution", "w=1e-300"),
+        ("--oracle", "--resolution", "D1=0.001"),
     ])
     def test_resolution_is_checked_before_the_search(self, capsys, tmp_path, flags):
         # A bad --resolution, or one without --oracle, fails before maximize
@@ -452,6 +488,7 @@ class TestOptimize:
     ("synth", "--noise", "-1", "must be >= 0, got '-1'"),
     ("synth", "--noise", "nan", "must be finite, got 'nan'"),
     ("optimize", "--seed", "x", "invalid int value: 'x'"),
+    ("estimate", "--D1", "abc", "not a number: 'abc'"),
 ])
 def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, labeled_corpus,
                                             command, flag, value, message):
@@ -463,6 +500,7 @@ def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, labeled_corpus,
         "grid": ["--spec", "A", "--labels", "default", "--out", str(out)],
         "synth": ["--in", str(labeled_corpus), "--coeffs", "default", "--out", str(out)],
         "optimize": ["--problem", "default", "--out", str(out)],
+        "estimate": [*TestEstimate.GOLDEN[2:], "--output", str(out)],
     }[command]
     code, stdout, err = run(capsys, command, *args, flag, value)
     assert code == 2 and stdout == ""
@@ -490,6 +528,10 @@ def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, labeled_corpus,
     ("optimize", None, 5),
     ("grid", None, 5),
     ("estimate", None, 5),
+    ("estimate", "label", None),
+    ("estimate", "label", 5),
+    ("optimize", "coefficients", {**DEFAULT_COEFFICIENTS.to_mapping(), "label": [1]}),
+    ("optimize", "coefficients", {**DEFAULT_COEFFICIENTS.to_mapping(), "label": {"a": 1}}),
 ])
 def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, command, key, value):
     mapping = {
@@ -540,3 +582,52 @@ class TestDeterminism:
                              "--out", str(path))
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+# Each subcommand's flags as (option, default, required), in --help order.
+FLAGS = {
+    "estimate": [
+        ("--D1", None, True), ("--D2", None, True), ("--w", None, True),
+        ("--s", None, True), ("--NT", None, True), ("--NL", None, True),
+        ("--O", None, False), ("--model", "full", False), ("--coeffs", None, False),
+        ("--format", "text", False), ("--output", None, False),
+    ],
+    "grid": [
+        ("--spec", None, True), ("--out", None, True), ("--labels", None, False),
+        ("--noise", 0.0, False), ("--seed", 0, False),
+    ],
+    "synth": [
+        ("--in", None, True), ("--coeffs", None, True), ("--noise", 0.0, False),
+        ("--seed", 0, False), ("--out", None, True),
+    ],
+    "fit": [
+        ("--in", None, True), ("--fraction", 0.8, False), ("--seed", 0, False),
+        ("--repeats", 1, False), ("--out", None, True), ("--report", None, False),
+        ("--threshold", 5.0, False), ("--bin-width", 0.5, False),
+    ],
+    "eval": [
+        ("--in", None, True), ("--coeffs", None, True), ("--threshold", 5.0, False),
+        ("--bin-width", 0.5, False), ("--report", None, True), ("--hist", None, False),
+    ],
+    "optimize": [
+        ("--problem", None, True), ("--restarts", 100, False), ("--seed", 0, False),
+        ("--out", None, True), ("--oracle", False, False), ("--resolution", None, False),
+    ],
+}
+
+
+def test_every_flag_keeps_its_option_default_and_required():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: [
+            (*action.option_strings, action.default, action.required)
+            for action in command._actions if action.dest != "help"
+        ]
+        for name, command in commands.choices.items()
+    }
+    assert got == FLAGS
+    # 0 == 0.0, so pin the types of the numeric defaults too.
+    assert [type(flag[1]) for flags in got.values() for flag in flags] == [
+        type(flag[1]) for flags in FLAGS.values() for flag in flags
+    ]

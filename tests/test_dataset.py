@@ -66,6 +66,19 @@ class TestGridSpec:
             small_spec(O_values=(), NL_values=(1, 2))
         with pytest.raises(ValueError):
             small_spec(min_inner=-1.0)
+        with pytest.raises(ValueError, match="^NT_values must not be empty$"):
+            small_spec(NT_values=())
+        with pytest.raises(ValueError, match=r"^NT_values contains duplicates: \(6, 6\)$"):
+            small_spec(NT_values=(6, 6))
+        with pytest.raises(ValueError, match=r"^O_values contains duplicates: \(1.0, 1.0\)$"):
+            small_spec(O_values=(1.0, 1.0))
+
+    def test_from_mapping_names_missing_keys(self):
+        mapping = small_spec().to_mapping()
+        for key in ("D2_values", "NL_values"):
+            del mapping[key]
+        with pytest.raises(ValueError, match="^grid spec is missing D2_values, NL_values$"):
+            GridSpec.from_mapping(mapping)
 
     @pytest.mark.parametrize("field", ["D1_values", "D2_values", "w_values", "s_values",
                                        "O_values", "min_inner"])
@@ -287,6 +300,30 @@ class TestCsv:
         )
         with pytest.raises(SampleFileError, match="N_T"):
             read_csv(path)
+        path = self._write_lines(
+            tmp_path, "70.0,70.0,33.0,33.0,3.0,0.1,6,2,half,2.7,synthetic"
+        )
+        with pytest.raises(SampleFileError, match=":2: O_mm is not a number: 'half'"):
+            read_csv(path)
+        good = "70.0000,70.0000,33.0000,33.0000,3.0000,0.1000,6,1,,2.69928209664,synthetic"
+        path = self._write_lines(tmp_path, good, "70.0,70.0,33.0,33.0,3.0,0.1,6,1,,2.7uH,synthetic")
+        with pytest.raises(SampleFileError, match=":3: L_uH is not a number: '2.7uH'"):
+            read_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        samples = self.write_some(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [""] + lines[3:] + [""]) + "\n")
+        back = read_csv(path)
+        assert [s.geometry for s in back] == [s.geometry for s in samples]
+        # Line numbers still count the blank line.
+        lines.insert(3, "")
+        lines[4] = lines[4].replace("synthetic", "guessed")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SampleFileError) as err:
+            read_csv(path)
+        assert err.value.line == 5
 
     def test_rejects_gap_rule_violations(self, tmp_path):
         path = self._write_lines(

@@ -81,12 +81,26 @@ def test_coefficient_mapping_roundtrip():
         CoefficientSet.from_mapping({k: v for k, v in mapping.items() if k != "a7"})
 
 
-@pytest.mark.parametrize("value", [None, [1], {"a": 1}, "1.794", True])
+@pytest.mark.parametrize("value", [
+    None, [1], {"a": 1}, "1.794", True,
+    # A label must be a JSON string; it is never passed through str().
+    pytest.param(("label", None), id="label-None"),
+    pytest.param(("label", 5), id="label-5"),
+    pytest.param(("label", [1]), id="label-list"),
+    pytest.param(("label", {"a": 1}), id="label-object"),
+])
 def test_coefficient_mapping_rejects_wrong_json_shapes(value):
+    key, value = value if isinstance(value, tuple) else ("a7", value)
     mapping = DEFAULT_COEFFICIENTS.to_mapping()
-    mapping["a7"] = value
-    with pytest.raises(ValueError, match="a7"):
+    mapping[key] = value
+    with pytest.raises(ValueError, match=key):
         CoefficientSet.from_mapping(mapping)
+
+
+def test_coefficient_mapping_label_defaults_to_empty():
+    mapping = DEFAULT_COEFFICIENTS.to_mapping()
+    del mapping["label"]
+    assert CoefficientSet.from_mapping(mapping).label == ""
 
 
 @pytest.mark.parametrize("row", GOLDEN)

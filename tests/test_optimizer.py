@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from planarwind import (
 )
 from planarwind.optimizer import (
     DEFAULT_RESOLUTION,
+    MAX_GRID_POINTS,
     _TINY,
     _box,
     _linear_system,
     _objective,
     _provably_empty,
+    oracle_steps,
     resolution_steps,
 )
 from planarwind.units import m_to_mm, mm_to_m
@@ -360,6 +363,24 @@ class TestBruteForce:
                 brute_force_max(default_problem(), {"w": step})
         assert resolution_steps({"w": 1e-9})["w"] == 1e-9
         assert resolution_steps() == DEFAULT_RESOLUTION
+
+    # Only the point counts are computed here; no grid is allocated.
+    def test_grid_size_is_limited_before_allocation(self):
+        # The default grid, 85 x 93 x 26 x 10 points per N_T, is within the limit.
+        assert oracle_steps(default_problem()) == DEFAULT_RESOLUTION
+        assert oracle_steps(default_problem(), {"D1": 1e-3}) == resolution_steps({"D1": 1e-3})
+        with pytest.raises(ValueError, match="1015584180 points per N_T, above the limit"):
+            brute_force_max(default_problem(), {"D1": 1e-6})
+        # Exactly MAX_GRID_POINTS passes and one more axis line does not.
+        bounds = dict(default_problem().bounds)
+        bounds.update(D1=(1e-3, 4096e-3), D2=(5000e-3, 9095e-3), w=(1e-3, 1e-3), s=(1e-3, 1e-3))
+        problem = replace(default_problem(), bounds=bounds)
+        steps = {"D1": 1e-3, "D2": 1e-3}
+        assert 4096 * 4096 == MAX_GRID_POINTS
+        assert oracle_steps(problem, steps) == resolution_steps(steps)
+        bounds["D2"] = (5000e-3, 9096e-3)
+        with pytest.raises(ValueError, match="16781312 points per N_T"):
+            oracle_steps(replace(problem, bounds=bounds), steps)
 
 
 class TestResultSerialization:

@@ -225,6 +225,10 @@ class TestFitOls:
             fit_ols(X, y)
         with pytest.raises(ValueError, match="columns"):
             fit_ols(X[:, :4], y[:4])
+        with pytest.raises(ValueError, match=r"y has shape \(9,\), expected \(10,\)"):
+            fit_ols(X, y[:9])
+        with pytest.raises(ValueError, match=r"y has shape \(10, 1\), expected \(10,\)"):
+            fit_ols(X, y[:, None])
 
     def test_rank_deficiency_names_columns(self):
         # One trace width and a single layer count: log10_w is constant
