@@ -16,9 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
-    dataset_a_spec,
-    dataset_b_spec,
-    dataset_c_spec,
+    BUILTIN_CORPORA,
     GridSpec,
     generate_grid,
     read_csv,
@@ -42,7 +40,6 @@ from .optimizer import (
     default_problem,
     maximize,
     oracle_steps,
-    resolution_steps,
 )
 from .regression import RankDeficiencyError, evaluate, repeated_fit
 from .units import h_to_uh, json_field, m_to_mm, mm_to_m
@@ -52,10 +49,6 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
-
-# Each built-in corpus is one or more grid specs, generated in order.
-_BUILTIN_SPECS = {"A": (dataset_a_spec,), "B": (dataset_b_spec,), "C": (dataset_c_spec,),
-                  "AB": (dataset_a_spec, dataset_b_spec)}
 
 # Every --model is the one kernel with a coefficient set.  These two have
 # fixed sets; full and square take --coeffs (square is full on D1 = D2).
@@ -113,8 +106,8 @@ def _load_coefficients(spec: str) -> CoefficientSet:
 
 
 def _load_grid_specs(spec: str) -> list[GridSpec]:
-    if spec in _BUILTIN_SPECS:
-        return [make() for make in _BUILTIN_SPECS[spec]]
+    if spec in BUILTIN_CORPORA:
+        return [make() for make in BUILTIN_CORPORA[spec]]
     return [GridSpec.from_mapping(_load_json(spec))]
 
 
@@ -124,6 +117,13 @@ def _cmd_estimate(args) -> int:
         raise UsageError(f"--coeffs applies to the full and square models, not {model}")
     if args.NL >= 2 and args.O is None:
         raise UsageError(f"--O is required for --NL {args.NL}")
+    if model == "square" and args.D1 != args.D2:
+        raise UsageError("the square model needs --D1 equal to --D2")
+    if model == "mohan":
+        if args.NL != 1:
+            raise UsageError("the mohan model is single-layer, use --NL 1")
+        if args.D1 != args.D2:
+            raise UsageError("the mohan model is square, use --D1 equal to --D2")
     if args.coeffs:
         coefficients = _load_coefficients(args.coeffs)
     else:
@@ -133,13 +133,6 @@ def _cmd_estimate(args) -> int:
         mm_to_m(args.D1), mm_to_m(args.D2), mm_to_m(args.w), mm_to_m(args.s),
         args.NT, args.NL, gap,
     )
-    if model == "square" and args.D1 != args.D2:
-        raise UsageError("the square model needs --D1 equal to --D2")
-    if model == "mohan":
-        if args.NL != 1:
-            raise UsageError("the mohan model is single-layer, use --NL 1")
-        if args.D1 != args.D2:
-            raise UsageError("the mohan model is square, use --D1 equal to --D2")
     fields = {
         "model": model,
         "L_uH": h_to_uh(inductance(geometry, coefficients)),
@@ -234,32 +227,32 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_resolution(text: str) -> dict:
+    """--resolution text as {key: step in m}; optimizer.oracle_steps checks it."""
     steps = {}
     for item in text.split(","):
-        key, _, value = item.partition("=")
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key in steps:
+            raise UsageError(f"--resolution repeats {key!r}")
         try:
-            steps[key.strip()] = mm_to_m(float(value))
+            steps[key] = mm_to_m(float(value))
         except ValueError:
             raise UsageError(f"bad --resolution value in {item!r}") from None
-    try:
-        return resolution_steps(steps)
-    except ValueError as exc:
-        raise UsageError(f"bad --resolution {text!r} (values in mm): {exc}") from None
+    return steps
 
 
 def _cmd_optimize(args) -> int:
     if args.resolution is not None and not args.oracle:
         raise UsageError("--resolution needs --oracle")
-    resolution = _parse_resolution(args.resolution) if args.resolution else None
+    resolution = _parse_resolution(args.resolution) if args.resolution is not None else None
     if args.problem == "default":
         problem = default_problem()
     else:
         problem = OptimizationProblem.from_mapping(_load_json(args.problem))
     if args.oracle:
         try:
-            oracle_steps(problem, resolution)
+            steps = oracle_steps(problem, resolution)
         except ValueError as exc:
-            raise UsageError(f"{exc}; use a coarser --resolution") from None
+            raise UsageError(f"bad --resolution (steps in mm): {exc}") from None
     result = maximize(problem, restarts=args.restarts, seed=args.seed)
     mapping = result.to_mapping()
     if result.feasible_found:
@@ -273,7 +266,7 @@ def _cmd_optimize(args) -> int:
     else:
         print(f"no feasible point found in {result.restarts_run} restarts")
     if args.oracle and result.feasible_found:
-        oracle = brute_force_max(problem, resolution)
+        oracle = brute_force_max(problem, steps)
         oracle_mapping = oracle.to_mapping()
         del oracle_mapping["restarts"]
         del oracle_mapping["restarts_run"]
@@ -317,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--D2", type=_finite_float, required=True, metavar="MM", help="outer side 2")
     est.add_argument("--w", type=_finite_float, required=True, metavar="MM", help="trace width")
     est.add_argument("--s", type=_finite_float, required=True, metavar="MM", help="turn spacing")
-    est.add_argument("--NT", type=int, required=True, help="turns per layer")
-    est.add_argument("--NL", type=int, required=True, help="number of layers")
+    est.add_argument("--NT", type=_POSITIVE_INT, required=True, help="turns per layer")
+    est.add_argument("--NL", type=_POSITIVE_INT, required=True, help="number of layers")
     est.add_argument("--O", type=_finite_float, default=None, metavar="MM",
                      help="layer gap, required for --NL >= 2")
     est.add_argument("--model", choices=["full", "simplified", "square", "mohan"],

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .estimator import CoefficientSet, inductance
 from .geometry import GeometryError, WindingGeometry, inner_side, is_integer, meets_min_inner
-from .units import h_to_uh, json_field, m_to_mm, mm_to_m, uh_to_h
+from .units import h_to_uh, json_field, json_keys, m_to_mm, mm_to_m, uh_to_h
 
 SOURCES = ("simulated", "measured", "synthetic")
 
@@ -92,35 +92,21 @@ class GridSpec:
             raise ValueError(f"strict_inner must be true or false, got {self.strict_inner!r}")
 
     def to_mapping(self) -> dict:
-        return {
-            "D1_values": list(self.D1_values),
-            "D2_values": list(self.D2_values),
-            "w_values": list(self.w_values),
-            "s_values": list(self.s_values),
-            "O_values": list(self.O_values),
-            "NT_values": list(self.NT_values),
-            "NL_values": list(self.NL_values),
-            "min_inner": self.min_inner,
-            "strict_inner": self.strict_inner,
-        }
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(self).items()}
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "GridSpec":
-        required = ("D1_values", "D2_values", "w_values", "s_values",
-                    "O_values", "NT_values", "NL_values")
-        missing = [key for key in required if key not in mapping]
-        if missing:
-            raise ValueError(f"grid spec is missing {', '.join(missing)}")
-        lengths = {
-            name: tuple(
-                json_field(name, v, "number") for v in json_field(name, mapping[name], "list")
-            )
-            for name in ("D1_values", "D2_values", "w_values", "s_values", "O_values")
-        }
+        # The value lists are the fields without a default, in field order.
+        lists = [f.name for f in fields(cls) if f.default is MISSING]
+        json_keys("grid spec", mapping, lists, [f.name for f in fields(cls) if f.name not in lists])
+        values = {}
+        for name in lists:
+            items = json_field(name, mapping[name], "list")
+            counts = name in ("NT_values", "NL_values")
+            values[name] = items if counts else tuple(json_field(name, v, "number") for v in items)
         return cls(
-            **lengths,
-            NT_values=json_field("NT_values", mapping["NT_values"], "list"),
-            NL_values=json_field("NL_values", mapping["NL_values"], "list"),
+            **values,
             min_inner=json_field("min_inner", mapping.get("min_inner", 0.0), "number"),
             strict_inner=mapping.get("strict_inner", False),
         )
@@ -191,9 +177,14 @@ def generate_grid(spec: GridSpec) -> list[WindingGeometry]:
     return out
 
 
+# Each built-in corpus is one or more grid specs, generated in order.
+BUILTIN_CORPORA = {"A": (dataset_a_spec,), "B": (dataset_b_spec,), "C": (dataset_c_spec,),
+                   "AB": (dataset_a_spec, dataset_b_spec)}
+
+
 def default_corpus() -> list[WindingGeometry]:
-    """Datasets A and B concatenated, the default fitting corpus."""
-    return generate_grid(dataset_a_spec()) + generate_grid(dataset_b_spec())
+    """Built-in corpus AB, datasets A then B, the default fitting corpus."""
+    return [g for make in BUILTIN_CORPORA["AB"] for g in generate_grid(make())]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .geometry import (
     mean_side,
     require_integer,
 )
-from .units import json_field
+from .units import json_field, json_keys
 
 # Vacuum permeability, H/m.
 MU0 = 4.0e-7 * math.pi
@@ -91,9 +91,7 @@ class CoefficientSet:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "CoefficientSet":
-        missing = [name for name in COEFFICIENT_NAMES if name not in mapping]
-        if missing:
-            raise ValueError(f"coefficient set is missing {', '.join(missing)}")
+        json_keys("coefficient set", mapping, COEFFICIENT_NAMES, ("label",))
         values = {name: json_field(name, mapping[name], "number") for name in COEFFICIENT_NAMES}
         return cls(label=json_field("label", mapping.get("label", ""), "string"), **values)
 

@@ -24,7 +24,7 @@ from scipy.optimize import minimize
 
 from .estimator import DEFAULT_COEFFICIENTS, CoefficientSet, inductance, inductance_from_dims
 from .geometry import WindingGeometry, inner_side, is_integer
-from .units import h_to_uh, json_field, m_to_mm, mm_to_m
+from .units import h_to_uh, json_field, json_keys, m_to_mm, mm_to_m
 
 BOUND_KEYS = ("D1", "D2", "d1", "d2", "w", "s")
 
@@ -55,9 +55,7 @@ class OptimizationProblem:
     coefficients: CoefficientSet = DEFAULT_COEFFICIENTS
 
     def __post_init__(self) -> None:
-        missing = [key for key in BOUND_KEYS if key not in self.bounds]
-        if missing:
-            raise ValueError(f"bounds missing for {', '.join(missing)}")
+        json_keys("bounds", self.bounds, BOUND_KEYS)
         for key in BOUND_KEYS:
             lo, hi = self.bounds[key]
             if not hi < math.inf:
@@ -99,17 +97,13 @@ class OptimizationProblem:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "OptimizationProblem":
-        missing = [key for key in BOUND_KEYS if key not in mapping]
-        if missing:
-            raise ValueError(f"problem is missing bounds for {', '.join(missing)}")
+        json_keys("problem", mapping, (*BOUND_KEYS, "NT"), ("NL", "O_mm", "coefficients"))
         bounds = {}
         for key in BOUND_KEYS:
             pair = mapping[key]
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ValueError(f"bounds for {key} must be a [lower, upper] pair, got {pair!r}")
             bounds[key] = tuple(mm_to_m(json_field(key, v, "number")) for v in pair)
-        if "NT" not in mapping:
-            raise ValueError("problem is missing the NT domain")
         gap = None
         if "O_mm" in mapping:
             gap = mm_to_m(json_field("O_mm", mapping["O_mm"], "number"))
@@ -152,15 +146,25 @@ DEFAULT_RESOLUTION = {
 }
 
 
-def resolution_steps(resolution: Optional[Mapping[str, float]] = None) -> dict[str, float]:
+# The oracle holds each N_T's grid as dense float64 arrays; 2**24 points is
+# 8x the default grid on the reference box.
+MAX_GRID_POINTS = 2 ** 24
+
+
+def oracle_steps(
+    problem: OptimizationProblem, resolution: Optional[Mapping[str, float]] = None
+) -> dict[str, float]:
     """The oracle's grid steps (m): DEFAULT_RESOLUTION with the given ones in place.
 
     The one rule for a valid resolution.  Keys are D1, D2, w and s, and a
     step must be finite and positive once rounded to the nanometer grid
-    on which :func:`brute_force_max` lays out its axes.
+    on which :func:`brute_force_max` lays out its axes.  The grid on
+    problem's box may then have at most MAX_GRID_POINTS points per N_T;
+    the count comes from that axis layout, before anything is allocated.
 
     Raises:
-        ValueError: for an unknown key or a step outside that rule.
+        ValueError: for an unknown key, a step outside that rule, or a
+            grid above the limit.
     """
     steps = dict(DEFAULT_RESOLUTION)
     for key, value in (resolution or {}).items():
@@ -172,28 +176,6 @@ def resolution_steps(resolution: Optional[Mapping[str, float]] = None) -> dict[s
                 f"resolution step for {key} must be positive and finite at 1 nm, got {step} m"
             )
         steps[key] = step
-    return steps
-
-
-# The oracle holds each N_T's grid as dense float64 arrays; 2**24 points is
-# 8x the default grid on the reference box.
-MAX_GRID_POINTS = 2 ** 24
-
-
-def oracle_steps(
-    problem: OptimizationProblem, resolution: Optional[Mapping[str, float]] = None
-) -> dict[str, float]:
-    """The steps of :func:`resolution_steps`, checked to keep the oracle grid in bounds.
-
-    The grid on problem's box may have at most MAX_GRID_POINTS points per
-    N_T.  The count comes from the axis layout of :func:`brute_force_max`,
-    before anything is allocated.
-
-    Raises:
-        ValueError: for a resolution outside the rule of
-            :func:`resolution_steps`, or a grid above the limit.
-    """
-    steps = resolution_steps(resolution)
     points = math.prod(_axis_layout(*problem.bounds[key], steps[key])[3] for key in steps)
     if points > MAX_GRID_POINTS:
         raise ValueError(

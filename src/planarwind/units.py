@@ -6,7 +6,7 @@ and inductances of this size are normally quoted.
 """
 
 import numbers
-from typing import Mapping
+from typing import Mapping, Sequence
 
 
 def mm_to_m(value_mm: float) -> float:
@@ -42,3 +42,19 @@ def json_field(name: str, value, kind: str):
     if kind == "string" and isinstance(value, str):
         return value
     raise ValueError(f"{name} must be a JSON {kind}, got {value!r}")
+
+
+def json_keys(document: str, mapping: Mapping, required: Sequence, optional: Sequence = ()) -> None:
+    """Check the keys of a document, such as a JSON object: all required, none unknown.
+
+    Raises ValueError naming the missing keys, in the order of required,
+    or else the keys that are neither required nor optional, in document
+    order, so a misspelt optional key is no silent default.
+    """
+    missing = [key for key in required if key not in mapping]
+    if missing:
+        raise ValueError(f"{document} is missing {', '.join(missing)}")
+    unknown = [repr(key) for key in mapping if key not in required and key not in optional]
+    if unknown:
+        noun = "keys" if len(unknown) > 1 else "key"
+        raise ValueError(f"{document} has unknown {noun} {', '.join(unknown)}")

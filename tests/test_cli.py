@@ -6,7 +6,9 @@ import pytest
 
 from planarwind import (
     DEFAULT_COEFFICIENTS,
+    CoefficientSet,
     GridSpec,
+    OptimizationProblem,
     dataset_a_spec,
     default_problem,
     generate_grid,
@@ -139,6 +141,17 @@ class TestEstimate:
         assert code == 0
         ratio = json.loads(doubled)["L_uH"] / json.loads(base)["L_uH"]
         assert ratio == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("model, flags, message", [
+        ("mohan", ["--D2", "10", "--NL", "2", "--O", "1"], "the mohan model is single-layer"),
+        ("square", ["--D2", "12", "--NL", "1"], "the square model needs --D1 equal to --D2"),
+    ])
+    def test_model_is_checked_before_the_winding(self, capsys, model, flags, message):
+        # Turns that do not fit would be exit 4; the model's usage error wins.
+        code, out, err = run(capsys, "estimate", "--model", model, "--D1", "10", *flags,
+                             "--w", "5", "--s", "1", "--NT", "5")
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_infeasible_turns(self, capsys):
         code, _, err = run(capsys, "estimate", "--D1", "20", "--D2", "30",
@@ -304,6 +317,20 @@ class TestFitAndEval:
         counts = [int(line.split(",")[1]) for line in hist_lines[1:]]
         assert sum(counts) == evaluation["n_eval"]
 
+    def test_written_coefficients_load_back(self, capsys, tmp_path, labeled_corpus):
+        # The key rule accepts every document the package writes.
+        coeffs_json = tmp_path / "c.json"
+        report_json = tmp_path / "r.json"
+        code, _, _ = run(capsys, "fit", "--in", str(labeled_corpus),
+                         "--out", str(coeffs_json), "--report", str(report_json))
+        assert code == 0
+        fitted = CoefficientSet.from_mapping(json.loads(coeffs_json.read_text()))
+        report = json.loads(report_json.read_text())
+        assert CoefficientSet.from_mapping(report["coefficients"]) == fitted
+        problem = default_problem().to_mapping()
+        problem["coefficients"] = fitted.to_mapping()
+        assert OptimizationProblem.from_mapping(problem).coefficients == fitted
+
     def test_repeats_add_dispersion(self, capsys, tmp_path, labeled_corpus):
         coeffs_json = tmp_path / "c.json"
         report_json = tmp_path / "r.json"
@@ -421,6 +448,8 @@ class TestOptimize:
         ("--oracle", "--resolution", "D1=-0.5"),
         ("--oracle", "--resolution", "w=1e-300"),
         ("--oracle", "--resolution", "D1=0.001"),
+        ("--oracle", "--resolution", ""),
+        ("--oracle", "--resolution", "D1=1,D1=2"),
     ])
     def test_resolution_is_checked_before_the_search(self, capsys, tmp_path, flags):
         # A bad --resolution, or one without --oracle, fails before maximize
@@ -431,6 +460,13 @@ class TestOptimize:
         assert code == 2 and stdout == ""
         assert "--resolution" in err
         assert not out.exists()
+
+    def test_problem_is_read_before_the_resolution_is_checked(self, capsys, tmp_path):
+        out = tmp_path / "x.json"
+        code, stdout, err = run(capsys, "optimize", "--problem", str(tmp_path / "absent.json"),
+                                "--oracle", "--resolution", "q=1", "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert "absent.json" in err and not out.exists()
 
     def test_infeasible_problem_is_reported_not_raised(self, capsys, tmp_path):
         problem = {
@@ -489,6 +525,8 @@ class TestOptimize:
     ("synth", "--noise", "nan", "must be finite, got 'nan'"),
     ("optimize", "--seed", "x", "invalid int value: 'x'"),
     ("estimate", "--D1", "abc", "not a number: 'abc'"),
+    ("estimate", "--NT", "0", "must be >= 1, got '0'"),
+    ("estimate", "--NL", "0", "must be >= 1, got '0'"),
 ])
 def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, labeled_corpus,
                                             command, flag, value, message):
@@ -532,6 +570,12 @@ def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, labeled_corpus,
     ("estimate", "label", 5),
     ("optimize", "coefficients", {**DEFAULT_COEFFICIENTS.to_mapping(), "label": [1]}),
     ("optimize", "coefficients", {**DEFAULT_COEFFICIENTS.to_mapping(), "label": {"a": 1}}),
+    # Unknown keys, misspelt optional ones above all, are rejected too.
+    ("optimize", "N_L", 4),
+    ("optimize", "O", 0.5),
+    ("grid", "min_iner", 17.0),
+    ("estimate", "lable", "fit"),
+    ("optimize", "coefficients", {**DEFAULT_COEFFICIENTS.to_mapping(), "a10": 0.0}),
 ])
 def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, command, key, value):
     mapping = {

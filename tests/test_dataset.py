@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -79,6 +80,26 @@ class TestGridSpec:
             del mapping[key]
         with pytest.raises(ValueError, match="^grid spec is missing D2_values, NL_values$"):
             GridSpec.from_mapping(mapping)
+
+    def test_from_mapping_names_unknown_keys(self):
+        # A misspelt optional key is rejected, not read as its default.
+        mapping = small_spec().to_mapping()
+        mapping["min_iner"] = mapping.pop("min_inner")
+        with pytest.raises(ValueError, match="^grid spec has unknown key 'min_iner'$"):
+            GridSpec.from_mapping(mapping)
+        # Missing keys are named before unknown ones.
+        del mapping["D1_values"]
+        with pytest.raises(ValueError, match="^grid spec is missing D1_values$"):
+            GridSpec.from_mapping(mapping)
+
+    def test_to_mapping_is_field_order_with_lists(self):
+        mapping = dataset_a_spec().to_mapping()
+        assert list(mapping) == [
+            "D1_values", "D2_values", "w_values", "s_values", "O_values",
+            "NT_values", "NL_values", "min_inner", "strict_inner",
+        ]
+        assert mapping["NT_values"] == [6, 8, 10] and mapping["O_values"] == [0.5, 1.0, 1.5]
+        assert (mapping["min_inner"], mapping["strict_inner"]) == (17.0, False)
 
     @pytest.mark.parametrize("field", ["D1_values", "D2_values", "w_values", "s_values",
                                        "O_values", "min_inner"])
@@ -513,3 +534,22 @@ def _edge_grid_specs(draw):
 @given(spec=_edge_grid_specs())
 def test_generate_grid_matches_the_nested_loop(spec):
     assert generate_grid(spec) == _parent_generate_grid(spec)
+
+
+_LENGTHS = st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=4, unique=True)
+_COUNTS = st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=4, unique=True)
+
+
+@given(
+    D1=_LENGTHS, D2=_LENGTHS, w=_LENGTHS, s=_LENGTHS,
+    O=st.lists(st.floats(min_value=1e-6, max_value=1e6), max_size=4, unique=True),
+    NT=_COUNTS, NL=_COUNTS,
+    min_inner=st.floats(min_value=0.0, max_value=1e6), strict=st.booleans(),
+)
+def test_grid_spec_mapping_roundtrip(D1, D2, w, s, O, NT, NL, min_inner, strict):
+    assume(max(NL) == 1 or O)
+    spec = GridSpec(tuple(D1), tuple(D2), tuple(w), tuple(s), tuple(O), tuple(NT), tuple(NL),
+                    min_inner, strict)
+    assert GridSpec.from_mapping(spec.to_mapping()) == spec
+    # The mapping is a JSON document: it survives a trip through the text.
+    assert GridSpec.from_mapping(json.loads(json.dumps(spec.to_mapping()))) == spec

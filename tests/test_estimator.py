@@ -97,6 +97,18 @@ def test_coefficient_mapping_rejects_wrong_json_shapes(value):
         CoefficientSet.from_mapping(mapping)
 
 
+def test_coefficient_mapping_rejects_unknown_keys():
+    mapping = DEFAULT_COEFFICIENTS.to_mapping()
+    mapping["lable"] = mapping.pop("label")
+    with pytest.raises(ValueError, match="^coefficient set has unknown key 'lable'$"):
+        CoefficientSet.from_mapping(mapping)
+    mapping = DEFAULT_COEFFICIENTS.to_mapping()
+    del mapping["a3"], mapping["a7"]
+    mapping["a10"] = 0.0
+    with pytest.raises(ValueError, match="^coefficient set is missing a3, a7$"):
+        CoefficientSet.from_mapping(mapping)
+
+
 def test_coefficient_mapping_label_defaults_to_empty():
     mapping = DEFAULT_COEFFICIENTS.to_mapping()
     del mapping["label"]

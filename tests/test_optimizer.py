@@ -28,7 +28,6 @@ from planarwind.optimizer import (
     _objective,
     _provably_empty,
     oracle_steps,
-    resolution_steps,
 )
 from planarwind.units import m_to_mm, mm_to_m
 
@@ -55,6 +54,11 @@ class TestProblemValidation:
     def test_missing_bound(self):
         bounds = {k: (0.01, 0.02) for k in ("D1", "D2", "d1", "d2", "w")}
         with pytest.raises(ValueError, match="missing"):
+            OptimizationProblem(bounds, (5,), 1, None)
+
+    def test_unknown_bound(self):
+        bounds = dict(default_problem().bounds, O=(0.01, 0.02))
+        with pytest.raises(ValueError, match="^bounds has unknown key 'O'$"):
             OptimizationProblem(bounds, (5,), 1, None)
 
     def test_inverted_bounds(self):
@@ -151,6 +155,19 @@ class TestProblemMapping:
         multilayer["NL"] = 4
         with pytest.raises(ValueError, match="layer_gap"):
             OptimizationProblem.from_mapping(multilayer)
+
+    def test_mapping_names_missing_and_unknown_keys(self):
+        mapping = default_problem().to_mapping()
+        mapping["N_L"], mapping["O"] = mapping.pop("NL"), mapping.pop("O_mm")
+        with pytest.raises(ValueError, match="^problem has unknown keys 'N_L', 'O'$"):
+            OptimizationProblem.from_mapping(mapping)
+        mapping = default_problem().to_mapping()
+        mapping["coefficients"]["a10"] = 0.0
+        with pytest.raises(ValueError, match="^coefficient set has unknown key 'a10'$"):
+            OptimizationProblem.from_mapping(mapping)
+        del mapping["D1"], mapping["NT"]
+        with pytest.raises(ValueError, match="^problem is missing D1, NT$"):
+            OptimizationProblem.from_mapping(mapping)
 
 
     @pytest.mark.parametrize("key, value", [
@@ -361,14 +378,16 @@ class TestBruteForce:
         for step in (0.0, -5e-4, 1e-303, 4e-10, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive"):
                 brute_force_max(default_problem(), {"w": step})
-        assert resolution_steps({"w": 1e-9})["w"] == 1e-9
-        assert resolution_steps() == DEFAULT_RESOLUTION
+        # A 1 nm step on w needs a box that is one point wide in w.
+        bounds = dict(default_problem().bounds, w=(2.5e-3, 2.5e-3))
+        assert oracle_steps(replace(default_problem(), bounds=bounds), {"w": 1e-9})["w"] == 1e-9
+        assert oracle_steps(default_problem()) == DEFAULT_RESOLUTION
 
     # Only the point counts are computed here; no grid is allocated.
     def test_grid_size_is_limited_before_allocation(self):
         # The default grid, 85 x 93 x 26 x 10 points per N_T, is within the limit.
         assert oracle_steps(default_problem()) == DEFAULT_RESOLUTION
-        assert oracle_steps(default_problem(), {"D1": 1e-3}) == resolution_steps({"D1": 1e-3})
+        assert oracle_steps(default_problem(), {"D1": 1e-3}) == {**DEFAULT_RESOLUTION, "D1": 1e-3}
         with pytest.raises(ValueError, match="1015584180 points per N_T, above the limit"):
             brute_force_max(default_problem(), {"D1": 1e-6})
         # Exactly MAX_GRID_POINTS passes and one more axis line does not.
@@ -377,7 +396,7 @@ class TestBruteForce:
         problem = replace(default_problem(), bounds=bounds)
         steps = {"D1": 1e-3, "D2": 1e-3}
         assert 4096 * 4096 == MAX_GRID_POINTS
-        assert oracle_steps(problem, steps) == resolution_steps(steps)
+        assert oracle_steps(problem, steps) == {**DEFAULT_RESOLUTION, **steps}
         bounds["D2"] = (5000e-3, 9096e-3)
         with pytest.raises(ValueError, match="16781312 points per N_T"):
             oracle_steps(replace(problem, bounds=bounds), steps)
