@@ -94,9 +94,19 @@ def _write_json(path, mapping) -> None:
         handle.write("\n")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a repeated key is a ValueError, not a silent overwrite."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ValueError(f"JSON object repeats key {key!r}")
+        document[key] = value
+    return document
+
+
 def _load_json(path):
     with open(path) as handle:
-        return json_field(path, json.load(handle), "object")
+        return json_field(path, json.load(handle, object_pairs_hook=_unique_keys), "object")
 
 
 def _load_coefficients(spec: str) -> CoefficientSet:
@@ -117,6 +127,8 @@ def _cmd_estimate(args) -> int:
         raise UsageError(f"--coeffs applies to the full and square models, not {model}")
     if args.NL >= 2 and args.O is None:
         raise UsageError(f"--O is required for --NL {args.NL}")
+    if args.NL == 1 and args.O is not None:
+        raise UsageError("--O applies to --NL 2 or more, not --NL 1")
     if model == "square" and args.D1 != args.D2:
         raise UsageError("the square model needs --D1 equal to --D2")
     if model == "mohan":

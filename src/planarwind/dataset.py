@@ -33,7 +33,7 @@ CSV_HEADER = (
 NOMINAL_GRID_COUNTS = {"A": 1800, "B": 4050}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """One labeled winding: geometry plus reference inductance (H)."""
 
@@ -263,29 +263,29 @@ class SampleFileError(ValueError):
 _D_TOLERANCE_MM = 1e-3
 
 
-def _format_row(geometry: WindingGeometry, L_uH: str, source: str) -> list[str]:
-    g = geometry
-    gap = f"{m_to_mm(g.layer_gap):.4f}" if g.layer_gap is not None else ""
-    return [
-        f"{m_to_mm(g.D1):.4f}",
-        f"{m_to_mm(g.D2):.4f}",
-        f"{m_to_mm(g.d1):.4f}",
-        f"{m_to_mm(g.d2):.4f}",
-        f"{m_to_mm(g.w):.4f}",
-        f"{m_to_mm(g.s):.4f}",
-        str(g.n_turns),
-        str(g.n_layers),
-        gap,
-        L_uH,
-        source,
-    ]
+# The cells D1_mm to N_L of a CSV line.  Every cell of a line is a number,
+# empty or a SOURCES name, so none needs quoting.
+_GEOMETRY_CELLS = "%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%d,%d,"
 
 
-def _write_rows(path: Union[str, Path], rows) -> None:
+def _write_rows(path: Union[str, Path], label_cells: str, rows) -> None:
+    """Write the header and one line per (geometry, L_uH, source) row.
+
+    label_cells formats the last two values; "%.0s" formats a value as
+    nothing, which leaves its cell empty, as O_mm is for a single layer.
+    """
+    single = _GEOMETRY_CELLS + "%.0s," + label_cells + "\n"
+    multi = _GEOMETRY_CELLS + "%.4f," + label_cells + "\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+        handle.write(",".join(CSV_HEADER) + "\n")
+        handle.writelines(
+            (single if g.layer_gap is None else multi) % (
+                m_to_mm(g.D1), m_to_mm(g.D2), m_to_mm(g.d1), m_to_mm(g.d2), m_to_mm(g.w),
+                m_to_mm(g.s), g.n_turns, g.n_layers,
+                None if g.layer_gap is None else m_to_mm(g.layer_gap), L_uH, source,
+            )
+            for g, L_uH, source in rows
+        )
 
 
 def write_csv(samples: Sequence[Sample], path: Union[str, Path]) -> None:
@@ -294,15 +294,14 @@ def write_csv(samples: Sequence[Sample], path: Union[str, Path]) -> None:
     Lengths are written with 4 decimals (0.1 um); the label keeps 12
     significant digits so that noiseless labels survive a round trip.
     """
-    _write_rows(path, (
-        _format_row(sample.geometry, f"{h_to_uh(sample.L_ref):.12g}", sample.source)
-        for sample in samples
+    _write_rows(path, "%.12g,%s", (
+        (sample.geometry, h_to_uh(sample.L_ref), sample.source) for sample in samples
     ))
 
 
 def write_geometry_csv(geometries: Sequence[WindingGeometry], path: Union[str, Path]) -> None:
     """Write unlabeled geometries in the sample CSV layout, label columns empty."""
-    _write_rows(path, (_format_row(geometry, "", "") for geometry in geometries))
+    _write_rows(path, "%.0s,%.0s", ((geometry, None, None) for geometry in geometries))
 
 
 def _parse_float(path, line: int, name: str, text: str) -> float:
@@ -312,23 +311,26 @@ def _parse_float(path, line: int, name: str, text: str) -> float:
         raise SampleFileError(path, line, f"{name} is not a number: {text!r}") from None
 
 
+def _bad_cell(path, line: int, row: Sequence[str]) -> SampleFileError:
+    """The error for the first of the eight numeric cells of row that does not convert."""
+    for name, text, convert, kind in zip(
+        CSV_HEADER, row, (float,) * 6 + (int,) * 2, ("a number",) * 6 + ("an integer",) * 2,
+    ):
+        try:
+            convert(text)
+        except ValueError:
+            return SampleFileError(path, line, f"{name} is not {kind}: {text.strip()!r}")
+    raise AssertionError("every numeric cell converts")
+
+
 def _parse_geometry(path, line: int, row: Sequence[str]) -> WindingGeometry:
     # float() and int() skip surrounding whitespace, so the numeric cells
     # are converted as read; only an error message strips its cell.
-    lengths = []
-    for name, text in zip(CSV_HEADER[:6], row[:6]):
-        try:
-            lengths.append(float(text))
-        except ValueError:
-            raise SampleFileError(path, line, f"{name} is not a number: {text.strip()!r}") from None
-    D1, D2, d1, d2, w, s = lengths
-    counts = []
-    for name, text in zip(CSV_HEADER[6:8], row[6:8]):
-        try:
-            counts.append(int(text))
-        except ValueError:
-            raise SampleFileError(path, line, f"{name} is not an integer: {text.strip()!r}") from None
-    nt, nl = counts
+    try:
+        D1, D2, d1, d2, w, s = map(float, row[:6])
+        nt, nl = map(int, row[6:8])
+    except ValueError:
+        raise _bad_cell(path, line, row) from None
     gap_text = row[8].strip()
     if nl == 1 and gap_text != "":
         raise SampleFileError(path, line, f"O_mm must be empty for a single-layer row, got {gap_text!r}")
@@ -342,14 +344,17 @@ def _parse_geometry(path, line: int, row: Sequence[str]) -> WindingGeometry:
         )
     except GeometryError as exc:
         raise SampleFileError(path, line, str(exc)) from None
-    for name, given, derived in (("d1_mm", d1, geometry.d1), ("d2_mm", d2, geometry.d2)):
-        # Written so that a NaN or infinite inner side fails too.
-        if not abs(given - m_to_mm(derived)) <= _D_TOLERANCE_MM:
-            raise SampleFileError(
-                path, line,
-                f"{name}={given} does not match the value derived from the "
-                f"outer side and turns ({m_to_mm(derived):.4f})",
-            )
+    # Written so that a NaN or infinite inner side fails too; only a
+    # failing row pays for naming the side.
+    if not (abs(d1 - m_to_mm(geometry.d1)) <= _D_TOLERANCE_MM
+            and abs(d2 - m_to_mm(geometry.d2)) <= _D_TOLERANCE_MM):
+        for name, given, derived in (("d1_mm", d1, geometry.d1), ("d2_mm", d2, geometry.d2)):
+            if not abs(given - m_to_mm(derived)) <= _D_TOLERANCE_MM:
+                raise SampleFileError(
+                    path, line,
+                    f"{name}={given} does not match the value derived from the "
+                    f"outer side and turns ({m_to_mm(derived):.4f})",
+                )
     return geometry
 
 
@@ -384,18 +389,21 @@ def read_csv(path: Union[str, Path]) -> list[Sample]:
     samples = []
     for line, row in _read_rows(path):
         geometry = _parse_geometry(path, line, row)
-        label = row[9].strip()
-        if label == "":
-            raise SampleFileError(path, line, "missing label L_uH")
-        L_uH = _parse_float(path, line, "L_uH", label)
-        if not (L_uH > 0.0 and math.isfinite(L_uH)):
+        try:
+            L_uH = float(row[9])
+        except ValueError:
+            label = row[9].strip()
+            if label == "":
+                raise SampleFileError(path, line, "missing label L_uH") from None
+            raise SampleFileError(path, line, f"L_uH is not a number: {label!r}") from None
+        if not 0.0 < L_uH < math.inf:
             raise SampleFileError(path, line, f"L_uH must be positive and finite, got {L_uH}")
         source = row[10].strip()
         if source not in SOURCES:
             raise SampleFileError(
                 path, line, f"source must be one of {', '.join(SOURCES)}, got {source!r}"
             )
-        samples.append(Sample(geometry=geometry, L_ref=uh_to_h(L_uH), source=source))
+        samples.append(Sample(geometry, uh_to_h(L_uH), source))
     return samples
 
 

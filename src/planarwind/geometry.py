@@ -47,7 +47,8 @@ def mean_side(D, d):
 
 def is_integer(count) -> bool:
     """True if count has __index__ (int, NumPy integers) and is no bool: a valid count type."""
-    return not isinstance(count, bool) and hasattr(count, "__index__")
+    # A plain int, by far the most common count, skips the attribute lookup.
+    return type(count) is int or (not isinstance(count, bool) and hasattr(count, "__index__"))
 
 
 def require_integer(name: str, count) -> None:
@@ -87,7 +88,7 @@ def derive_inner_side(D: float, n_turns: int, w: float, s: float) -> float:
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindingGeometry:
     """One multilayer rectangular planar winding, in SI units.
 
@@ -117,28 +118,26 @@ class WindingGeometry:
     d2: float = field(init=False)
 
     def __post_init__(self) -> None:
-        require_integer("n_turns", self.n_turns)
-        require_integer("n_layers", self.n_layers)
-        if self.n_layers < 1:
-            raise GeometryError(f"n_layers must be >= 1, got {self.n_layers}")
-        if self.D1 > self.D2:
+        D1, D2, w, s, n_turns, n_layers = self.D1, self.D2, self.w, self.s, self.n_turns, self.n_layers
+        require_integer("n_turns", n_turns)
+        require_integer("n_layers", n_layers)
+        if n_layers < 1:
+            raise GeometryError(f"n_layers must be >= 1, got {n_layers}")
+        if D1 > D2:
             raise OrientationError(
-                f"sides out of order: D1={self.D1} > D2={self.D2} "
+                f"sides out of order: D1={D1} > D2={D2} "
                 f"(swap them, or use canonicalize())"
             )
-        if self.n_layers == 1:
+        if n_layers == 1:
             object.__setattr__(self, "layer_gap", None)
         else:
-            if self.layer_gap is None:
-                raise IncompleteGeometryError(
-                    f"layer_gap is required for n_layers={self.n_layers}"
-                )
-            if not 0.0 < self.layer_gap < math.inf:
-                raise GeometryError(
-                    f"layer_gap must be positive and finite, got {self.layer_gap}"
-                )
-        object.__setattr__(self, "d1", derive_inner_side(self.D1, self.n_turns, self.w, self.s))
-        object.__setattr__(self, "d2", derive_inner_side(self.D2, self.n_turns, self.w, self.s))
+            gap = self.layer_gap
+            if gap is None:
+                raise IncompleteGeometryError(f"layer_gap is required for n_layers={n_layers}")
+            if not 0.0 < gap < math.inf:
+                raise GeometryError(f"layer_gap must be positive and finite, got {gap}")
+        object.__setattr__(self, "d1", derive_inner_side(D1, n_turns, w, s))
+        object.__setattr__(self, "d2", derive_inner_side(D2, n_turns, w, s))
 
 
 def canonicalize(

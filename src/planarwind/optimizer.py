@@ -112,13 +112,18 @@ class OptimizationProblem:
             coefficients = CoefficientSet.from_mapping(
                 json_field("coefficients", mapping["coefficients"], "object")
             )
-        return cls(
+        problem = cls(
             bounds=bounds,
             NT_domain=json_field("NT", mapping["NT"], "list"),
             n_layers=mapping.get("NL", 1),
             layer_gap=gap,
             coefficients=coefficients,
         )
+        # The constructor drops a single layer's gap; in a file it is a mistake.
+        if problem.n_layers == 1 and gap is not None:
+            raise ValueError(f"problem has O_mm, which needs NL >= 2, but "
+                             f"{'NL is 1' if 'NL' in mapping else 'no NL'}")
+        return problem
 
 
 def default_problem() -> OptimizationProblem:

@@ -87,6 +87,11 @@ class TestEstimate:
         assert code == 2
         assert "error:" in err and "--O" in err
 
+    def test_single_layer_rejects_a_gap(self, capsys):
+        code, out, err = run(capsys, "estimate", *self.GOLDEN[:-4], "--NL", "1", "--O", "1.6")
+        assert (code, out) == (2, "")
+        assert "error: --O applies to --NL 2 or more, not --NL 1" in err
+
     def test_swapped_sides_give_the_same_answer(self, capsys):
         args = ["--w", "5", "--s", "0.5", "--NT", "8", "--NL", "1"]
         code1, out1, _ = run(capsys, "estimate", "--D1", "120", "--D2", "160", *args)
@@ -546,7 +551,11 @@ def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, labeled_corpus,
     assert not out.exists()
 
 
-# A key of None puts the value in place of the whole document.
+# A key of None puts the value in place of the whole document; a value of
+# REPEATED gives the key twice.
+REPEATED = object()
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("optimize", "NT", [8.7]),
     ("optimize", "NT", ["8"]),
@@ -576,6 +585,14 @@ def test_out_of_range_flag_is_a_usage_error(capsys, tmp_path, labeled_corpus,
     ("grid", "min_iner", 17.0),
     ("estimate", "lable", "fit"),
     ("optimize", "coefficients", {**DEFAULT_COEFFICIENTS.to_mapping(), "a10": 0.0}),
+    # The problem's O_mm on a single layer would be dropped.
+    ("optimize", "NL", 1),
+    # A key given twice, its first occurrence nested in the problem's
+    # coefficients for "a1"; plain json.load would keep the second value.
+    ("optimize", "NT", REPEATED),
+    ("grid", "NT_values", REPEATED),
+    ("estimate", "a1", REPEATED),
+    ("optimize", "a1", REPEATED),
 ])
 def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, command, key, value):
     mapping = {
@@ -585,10 +602,13 @@ def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, 
     }[command]
     if key is None:
         mapping = value
-    else:
+    elif value is not REPEATED:
         mapping[key] = value
+    text = json.dumps(mapping)
+    if value is REPEATED:
+        text = text.replace(f'"{key}": ', f'"{key}": null, "{key}": ', 1)
     path = tmp_path / "document.json"
-    path.write_text(json.dumps(mapping))
+    path.write_text(text)
     out = tmp_path / "out"
     args = {
         "grid": ["--spec", str(path), "--out", str(out)],
@@ -598,6 +618,7 @@ def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, 
     code, stdout, err = run(capsys, command, *args)
     assert code == 3 and stdout == ""
     assert "error:" in err
+    assert value is not REPEATED or f"error: JSON object repeats key '{key}'" in err
     assert not out.exists()
 
 

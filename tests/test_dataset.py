@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 import numpy as np
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from planarwind import (
     DEFAULT_COEFFICIENTS,
@@ -29,8 +30,11 @@ from planarwind import (
     write_csv,
     write_geometry_csv,
 )
-from planarwind.geometry import InfeasibleGeometryError, derive_inner_side, meets_min_inner
-from planarwind.units import mm_to_m
+from planarwind.dataset import CSV_HEADER
+from planarwind.geometry import (
+    GeometryError, InfeasibleGeometryError, derive_inner_side, meets_min_inner,
+)
+from planarwind.units import h_to_uh, m_to_mm, mm_to_m, uh_to_h
 
 
 def small_spec(**overrides):
@@ -414,6 +418,12 @@ class TestCsv:
         with pytest.raises(SampleFileError, match="w_mm is not a number: 'three'"):
             read_csv(self._write_lines(tmp_path, padded))
 
+    def test_quoted_cells_read_as_unquoted(self, tmp_path):
+        plain = "70.0000,70.0000,33.0000,33.0000,3.0000,0.1000,6,2,1.0000,2.7,measured"
+        quoted = ",".join(f'"{cell}"' for cell in plain.split(","))
+        assert read_csv(self._write_lines(tmp_path, quoted)) == \
+            read_csv(self._write_lines(tmp_path, plain))
+
     def test_rejects_bad_header_and_empty_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("D1,D2\n")
@@ -553,3 +563,257 @@ def test_grid_spec_mapping_roundtrip(D1, D2, w, s, O, NT, NL, min_inner, strict)
     assert GridSpec.from_mapping(spec.to_mapping()) == spec
     # The mapping is a JSON document: it survives a trip through the text.
     assert GridSpec.from_mapping(json.loads(json.dumps(spec.to_mapping()))) == spec
+
+
+# The CSV writer and reader that the one-format-call writer and the
+# one-conversion reader replaced, kept as the references their bytes and
+# error messages must equal.
+
+def _parent_format_row(geometry, L_uH, source):
+    g = geometry
+    gap = f"{m_to_mm(g.layer_gap):.4f}" if g.layer_gap is not None else ""
+    return [
+        f"{m_to_mm(g.D1):.4f}", f"{m_to_mm(g.D2):.4f}", f"{m_to_mm(g.d1):.4f}",
+        f"{m_to_mm(g.d2):.4f}", f"{m_to_mm(g.w):.4f}", f"{m_to_mm(g.s):.4f}",
+        str(g.n_turns), str(g.n_layers), gap, L_uH, source,
+    ]
+
+
+def _parent_write_rows(path, rows):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
+
+
+def _parent_write_csv(samples, path):
+    _parent_write_rows(path, (
+        _parent_format_row(sample.geometry, f"{h_to_uh(sample.L_ref):.12g}", sample.source)
+        for sample in samples
+    ))
+
+
+def _parent_write_geometry_csv(geometries, path):
+    _parent_write_rows(path, (_parent_format_row(geometry, "", "") for geometry in geometries))
+
+
+def _parent_parse_float(path, line, name, text):
+    try:
+        return float(text)
+    except ValueError:
+        raise SampleFileError(path, line, f"{name} is not a number: {text!r}") from None
+
+
+def _parent_parse_geometry(path, line, row):
+    lengths = []
+    for name, text in zip(CSV_HEADER[:6], row[:6]):
+        try:
+            lengths.append(float(text))
+        except ValueError:
+            raise SampleFileError(path, line, f"{name} is not a number: {text.strip()!r}") from None
+    D1, D2, d1, d2, w, s = lengths
+    counts = []
+    for name, text in zip(CSV_HEADER[6:8], row[6:8]):
+        try:
+            counts.append(int(text))
+        except ValueError:
+            raise SampleFileError(path, line, f"{name} is not an integer: {text.strip()!r}") from None
+    nt, nl = counts
+    gap_text = row[8].strip()
+    if nl == 1 and gap_text != "":
+        raise SampleFileError(path, line, f"O_mm must be empty for a single-layer row, got {gap_text!r}")
+    if nl >= 2 and gap_text == "":
+        raise SampleFileError(path, line, f"O_mm is required for N_L={nl}")
+    gap = _parent_parse_float(path, line, "O_mm", gap_text) if gap_text != "" else None
+    try:
+        geometry = WindingGeometry(
+            mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s), nt, nl,
+            mm_to_m(gap) if gap is not None else None,
+        )
+    except GeometryError as exc:
+        raise SampleFileError(path, line, str(exc)) from None
+    for name, given_mm, derived in (("d1_mm", d1, geometry.d1), ("d2_mm", d2, geometry.d2)):
+        if not abs(given_mm - m_to_mm(derived)) <= 1e-3:
+            raise SampleFileError(
+                path, line,
+                f"{name}={given_mm} does not match the value derived from the "
+                f"outer side and turns ({m_to_mm(derived):.4f})",
+            )
+    return geometry
+
+
+def _parent_read_rows(path):
+    with open(path, "r", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SampleFileError(path, 1, "empty file, expected a header row") from None
+        if tuple(cell.strip() for cell in header) != CSV_HEADER:
+            raise SampleFileError(path, 1, f"bad header, expected {','.join(CSV_HEADER)}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise SampleFileError(path, line, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+            yield line, row
+
+
+def _parent_read_csv(path):
+    samples = []
+    for line, row in _parent_read_rows(path):
+        geometry = _parent_parse_geometry(path, line, row)
+        label = row[9].strip()
+        if label == "":
+            raise SampleFileError(path, line, "missing label L_uH")
+        L_uH = _parent_parse_float(path, line, "L_uH", label)
+        if not (L_uH > 0.0 and math.isfinite(L_uH)):
+            raise SampleFileError(path, line, f"L_uH must be positive and finite, got {L_uH}")
+        source = row[10].strip()
+        if source not in SOURCES:
+            raise SampleFileError(
+                path, line, f"source must be one of {', '.join(SOURCES)}, got {source!r}"
+            )
+        samples.append(Sample(geometry=geometry, L_ref=uh_to_h(L_uH), source=source))
+    return samples
+
+
+def _parent_read_geometry_csv(path):
+    return [_parent_parse_geometry(path, line, row) for line, row in _parent_read_rows(path)]
+
+
+@st.composite
+def _windings(draw):
+    """Feasible windings of random SI lengths, counts as int or NumPy integers."""
+    w = draw(st.floats(1e-5, 1e-2))
+    s = draw(st.floats(1e-6, 1e-2))
+    count = draw(st.sampled_from([int, np.int64]))
+    nt = draw(st.integers(1, 20))
+    nl = draw(st.integers(1, 6))
+    D1 = 2 * nt * (w + s) - 2 * s + draw(st.floats(1e-6, 0.2))
+    D2 = D1 + draw(st.floats(0.0, 0.2))
+    gap = draw(st.floats(1e-6, 1e-2)) if nl > 1 else None
+    return WindingGeometry(D1, D2, w, s, count(nt), count(nl), gap)
+
+
+@given(
+    samples=st.lists(
+        st.builds(Sample, _windings(), st.floats(1e-12, 1e3), st.sampled_from(SOURCES)),
+        max_size=12,
+    ),
+)
+def test_writers_match_the_csv_writer_reference(samples):
+    geometries = [sample.geometry for sample in samples]
+    with tempfile.TemporaryDirectory() as directory:
+        def written(write, records):
+            path = Path(directory) / "out.csv"
+            write(records, path)
+            return path.read_bytes()
+
+        assert written(write_csv, samples) == written(_parent_write_csv, samples)
+        assert written(write_geometry_csv, geometries) == \
+            written(_parent_write_geometry_csv, geometries)
+
+
+# Corruptions of one cell: (columns it may hit, values it may write).
+# A value of None derives the cell from the row instead.
+_CORRUPTIONS = {
+    "bad number": (range(6), ["three", "", "1.2.3", "0x10", "1e", "--1", "7 0"]),
+    "non-integer count": ((6, 7), ["6.5", "", "six", "1e1", "7.0", "0x7"]),
+    "non-finite": ((0, 1, 2, 3, 4, 5, 8, 9), ["nan", "inf", "-inf", "NaN", "Infinity", "1e400"]),
+    "gap on a one-layer row": ((7,), None),
+    "missing gap": ((8,), None),
+    "swapped sides": ((0,), None),
+    "inner side off": ((2, 3), None),
+    "bad label": ((9,), ["-2.7", "0", "", "2.7uH", "-0.0", "1e-400"]),
+    "bad source": ((10,), ["oracle", "", "Simulated", "synthetic!", "measured "]),
+}
+# One test case per corruption and value, so that each value is tried.
+_CORRUPTION_CASES = [(kind, value) for kind, (_, values) in _CORRUPTIONS.items()
+                     for value in values or [None]]
+
+
+def _corrupt(row, kind, column, value, shift):
+    """Apply the corruption kind to row in place; True if the row must then be rejected."""
+    if kind == "gap on a one-layer row":
+        row[7], row[8] = "1", row[8] or "1.0000"
+    elif kind == "missing gap":
+        row[7], row[8] = row[7] if row[7] != "1" else "2", ""
+    elif kind == "swapped sides":
+        row[0], row[1], row[2], row[3] = row[1], row[0], row[3], row[2]
+        return row[0] != row[1]
+    elif kind == "inner side off":
+        row[column] = f"{float(row[column]) + shift:.4f}"
+        return abs(shift) >= 0.002
+    else:
+        row[column] = value
+        return kind != "bad source" or value.strip() not in SOURCES
+    return True
+
+
+def _outcome(read, path):
+    try:
+        return "ok", read(path)
+    except SampleFileError as exc:
+        return "error", (str(exc), exc.line)
+
+
+@given(
+    spec=st.builds(
+        GridSpec,
+        D1_values=_distinct(_mm(20.0, 200.0), 2),
+        D2_values=_distinct(_mm(20.0, 200.0), 2),
+        w_values=_distinct(_mm(0.2, 5.0), 2),
+        s_values=_distinct(_mm(0.05, 2.0), 1),
+        O_values=_distinct(_mm(0.05, 3.0), 1),
+        NT_values=_distinct(st.integers(1, 12), 2),
+        NL_values=_distinct(st.integers(1, 4), 2),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    source=st.sampled_from(SOURCES),
+    data=st.data(),
+)
+@settings(max_examples=15)
+@pytest.mark.parametrize("kind, value", _CORRUPTION_CASES)
+def test_readers_raise_the_reference_errors(kind, value, spec, seed, source, data):
+    geometries = generate_grid(spec)
+    assume(geometries)
+    samples = [dataclasses.replace(sample, source=source)
+               for sample in synth_labels(geometries, DEFAULT_COEFFICIENTS, 0.0086, seed)]
+    index = data.draw(st.integers(0, len(samples) - 1), label="row")
+    column = data.draw(st.sampled_from(_CORRUPTIONS[kind][0]), label="column")
+    shift = data.draw(st.floats(-5.0, 5.0), label="shift")
+    pad = data.draw(st.sampled_from(["", " ", "\t "]), label="pad")
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "samples.csv"
+        write_csv(samples, path)
+        lines = path.read_text().splitlines()
+        row = lines[index + 1].split(",")
+        must_fail = _corrupt(row, kind, column, value, shift)
+        row[column] = pad + row[column] + pad
+        lines[index + 1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        samples_back = _outcome(read_csv, path)
+        assert samples_back == _outcome(_parent_read_csv, path)
+        assert _outcome(read_geometry_csv, path) == _outcome(_parent_read_geometry_csv, path)
+    if must_fail:
+        assert samples_back[0] == "error" and samples_back[1][1] == index + 2
+
+
+def test_records_are_slotted_frozen_and_hashable():
+    def geometry():
+        return WindingGeometry(0.07, 0.08, 0.003, 0.0005, 6, 2, 0.001)
+
+    def sample():
+        return Sample(geometry(), 2.7e-6, "measured")
+
+    for make, field in ((geometry, "D1"), (sample, "source")):
+        record, twin = make(), make()
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(twin, field))
+        assert record == twin and record is not twin
+        assert hash(record) == hash(twin)
+        assert len({record, twin}) == 1
+    assert sample() != dataclasses.replace(sample(), source="simulated")
+    assert geometry() != dataclasses.replace(geometry(), n_layers=3)

@@ -156,6 +156,16 @@ class TestProblemMapping:
         with pytest.raises(ValueError, match="layer_gap"):
             OptimizationProblem.from_mapping(multilayer)
 
+    @pytest.mark.parametrize("NL", [{"NL": 1}, {}])
+    def test_mapping_rejects_a_gap_on_a_single_layer(self, NL):
+        mapping = {k: v for k, v in default_problem().to_mapping().items() if k != "NL"}
+        with pytest.raises(ValueError, match="O_mm, which needs NL >= 2, but "
+                                             + ("NL is 1" if NL else "no NL")):
+            OptimizationProblem.from_mapping({**mapping, **NL})
+        # The constructor still drops it, as WindingGeometry does.
+        problem = replace(default_problem(), n_layers=1)
+        assert problem.layer_gap is None
+
     def test_mapping_names_missing_and_unknown_keys(self):
         mapping = default_problem().to_mapping()
         mapping["N_L"], mapping["O"] = mapping.pop("NL"), mapping.pop("O_mm")
