@@ -151,8 +151,9 @@ DEFAULT_RESOLUTION = {
 }
 
 
-# The oracle holds each N_T's grid as dense float64 arrays; 2**24 points is
-# 8x the default grid on the reference box.
+# The oracle holds one dense float64 array over each N_T's grid, the product
+# of the side factors; 2**24 points (128 MB) is 8x the default grid on the
+# reference box.
 MAX_GRID_POINTS = 2 ** 24
 
 
@@ -403,10 +404,10 @@ def maximize(
     Returns a result with feasible_found False if no restart produced a
     feasible point.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not (is_integer(restarts) and restarts >= 1):
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     lo, hi = _box(problem)
     bounds = list(zip(lo, hi))
     records = []
@@ -496,43 +497,63 @@ def brute_force_max(
     feasibility rules as :func:`feasible`, and returns the exact argmax
     with a deterministic lexicographic tie-break on (D1, D2, w, s, N_T).
 
+    The model is a product of powers in which d1 depends only on
+    (D1, w, s) and d2 only on (D2, w, s).  So, per N_T, each side's factor
+    is computed on its own 3-D grid: F1 on (D1, w, s) and F2 on (D2, w, s).
+    Both come from the one kernel, :func:`inductance_from_dims`, with the
+    other side's arguments set to 1.0; since 1.0 ** a == 1.0 and
+    mean_side(1.0, 1.0) == 1.0, those factors drop out.  F1 * F2 is then
+    L times the constant a0 * mu0, which moves no argmax.  Each side is 0
+    where its own inner-side rule fails (d > 0 and the d bounds), and one
+    dense product over (D1, D2, w, s), with D1 < D2 applied as a 2-D mask
+    where it binds, is scanned by argmax; its first flat index keeps the
+    lexicographic tie-break.  Feasibility is read from the masks, never
+    from the product's value: should the argmax land off the feasible
+    set, which happens only when every feasible product underflows to 0
+    or one is not finite, the feasible points alone are scanned.
+
     Raises:
         ValueError: if resolution breaks the rule of :func:`oracle_steps`.
         InfeasibleProblemError: if no grid point is feasible.
     """
     steps = oracle_steps(problem, resolution)
     b = problem.bounds
-    D1 = _axis(*b["D1"], steps["D1"])[:, None, None, None]
-    D2 = _axis(*b["D2"], steps["D2"])[None, :, None, None]
-    w = _axis(*b["w"], steps["w"])[None, None, :, None]
-    s = _axis(*b["s"], steps["s"])[None, None, None, :]
+    c = problem.coefficients
+    D1, D2, w, s = (_axis(*b[key], steps[key]) for key in ("D1", "D2", "w", "s"))
+    # Each side's grid is (D, w, s); the product's is (D1, D2, w, s).
+    D1_, D2_, w_, s_ = D1[:, None, None], D2[:, None, None], w[None, :, None], s[None, None, :]
+    below = D1[:, None] < D2[None, :]
+    # One dense buffer, reused by every N_T.
+    L = np.empty((D1.size, D2.size, w.size, s.size))
     best_value = None
     best_point = None
     for nt in problem.NT_domain:
-        d1 = inner_side(D1, nt, w, s)
-        d2 = inner_side(D2, nt, w, s)
-        mask = (
-            (D1 < D2)
-            & (d1 > 0.0)
-            & (d2 > 0.0)
-            & (d1 >= b["d1"][0]) & (d1 <= b["d1"][1])
-            & (d2 >= b["d2"][0]) & (d2 <= b["d2"][1])
-        )
-        if not mask.any():
+        d1 = inner_side(D1_, nt, w_, s_)
+        d2 = inner_side(D2_, nt, w_, s_)
+        ok1 = (d1 > 0.0) & (d1 >= b["d1"][0]) & (d1 <= b["d1"][1])
+        ok2 = (d2 > 0.0) & (d2 >= b["d2"][0]) & (d2 <= b["d2"][1])
+        if not (ok1.any() and ok2.any()):
             continue
-        L = inductance_from_dims(
-            D1, D2, np.maximum(d1, _TINY), np.maximum(d2, _TINY), w, s,
-            nt, problem.n_layers, problem.layer_gap,
-            coefficients=problem.coefficients,
+        F1 = inductance_from_dims(
+            D1_, 1.0, np.maximum(d1, _TINY), 1.0, 1.0, 1.0, 1, 1, None, coefficients=c,
         )
-        L = np.where(mask, L, -np.inf)
-        flat_index = int(np.argmax(L))
-        value = float(L.reshape(-1)[flat_index])
-        i, j, k, m = np.unravel_index(flat_index, L.shape)
-        point = (
-            float(D1[i, 0, 0, 0]), float(D2[0, j, 0, 0]),
-            float(w[0, 0, k, 0]), float(s[0, 0, 0, m]), nt,
+        F2 = inductance_from_dims(
+            1.0, D2_, 1.0, np.maximum(d2, _TINY), w_, s_,
+            nt, problem.n_layers, problem.layer_gap, coefficients=c,
         )
+        np.multiply(np.where(ok1, F1, 0.0)[:, None], np.where(ok2, F2, 0.0)[None, :], out=L)
+        # Zeroes the (D1, D2) pairs that D1 < D2 excludes; none unless it binds.
+        L[~below] = 0.0
+        i, j, k, m = np.unravel_index(int(np.argmax(L)), L.shape)
+        if not (ok1[i, k, m] and ok2[j, k, m] and below[i, j]):
+            # No point is feasible, every feasible product underflowed to
+            # 0, or a product is not finite.
+            mask = ok1[:, None] & ok2[None, :] & below[:, :, None, None]
+            if not mask.any():
+                continue
+            i, j, k, m = np.unravel_index(int(np.argmax(np.where(mask, L, -np.inf))), L.shape)
+        value = float(L[i, j, k, m])
+        point = (float(D1[i]), float(D2[j]), float(w[k]), float(s[m]), nt)
         if _better(value, point, best_value, best_point):
             best_value = value
             best_point = point

@@ -209,10 +209,10 @@ def evaluate(
     """Error statistics of a coefficient set on labeled windings."""
     if len(samples) == 0:
         raise ValueError("no samples to evaluate")
-    if bin_width_pct <= 0.0:
-        raise ValueError(f"bin_width_pct must be positive, got {bin_width_pct}")
-    if threshold_pct < 0.0:
-        raise ValueError(f"threshold_pct must be >= 0, got {threshold_pct}")
+    if not 0.0 < bin_width_pct < math.inf:
+        raise ValueError(f"bin_width_pct must be positive and finite, got {bin_width_pct}")
+    if not 0.0 <= threshold_pct < math.inf:
+        raise ValueError(f"threshold_pct must be >= 0 and finite, got {threshold_pct}")
     c = _Columns(samples)
     layers = np.array(c.NL)
     L_model = np.empty(len(samples))

@@ -1,11 +1,12 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from planarwind import (
     DEFAULT_COEFFICIENTS,
@@ -23,12 +24,17 @@ from planarwind.optimizer import (
     DEFAULT_RESOLUTION,
     MAX_GRID_POINTS,
     _TINY,
+    _axis,
+    _axis_layout,
+    _better,
     _box,
     _linear_system,
     _objective,
     _provably_empty,
+    _result,
     oracle_steps,
 )
+from planarwind.geometry import inner_side
 from planarwind.units import m_to_mm, mm_to_m
 
 
@@ -273,6 +279,22 @@ class TestMaximize:
             maximize(small_problem(), restarts=0)
         with pytest.raises(ValueError, match="seed"):
             maximize(small_problem(), restarts=1, seed=-1)
+
+    @pytest.mark.parametrize("restarts", [True, 2.0, "2", None])
+    def test_restarts_must_be_an_integer(self, restarts):
+        # True is an int to Python, and would run one restart per N_T.
+        with pytest.raises(ValueError, match="^restarts must be an integer >= 1, got "):
+            maximize(small_problem(), restarts=restarts)
+
+    @pytest.mark.parametrize("seed", [False, 0.0, 1.5, "0", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # NumPy's seeding would raise TypeError for a float.
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+            maximize(small_problem(), restarts=1, seed=seed)
+
+    def test_numpy_integer_arguments_are_accepted(self):
+        result = maximize(small_problem(), restarts=np.int64(1), seed=np.uint8(3))
+        assert result.to_mapping() == maximize(small_problem(), restarts=1, seed=3).to_mapping()
 
     def test_reference_problem_optimum(self):
         result = maximize(default_problem(), restarts=20, seed=0)
@@ -533,3 +555,213 @@ def test_default_problem_skips_only_nine_and_ten_turns():
     lo, hi = _box(p)
     skipped = [nt for nt in p.NT_domain if _provably_empty(*_linear_system(p, nt), lo, hi)]
     assert skipped == [9, 10]
+
+
+def _parent_brute_force_max(problem, resolution=None):
+    # The oracle as it was before the per-side factors: the kernel and the
+    # feasibility mask on dense 4-D (D1, D2, w, s) arrays, per N_T.
+    # brute_force_max must return the same best point.
+    steps = oracle_steps(problem, resolution)
+    b = problem.bounds
+    D1 = _axis(*b["D1"], steps["D1"])[:, None, None, None]
+    D2 = _axis(*b["D2"], steps["D2"])[None, :, None, None]
+    w = _axis(*b["w"], steps["w"])[None, None, :, None]
+    s = _axis(*b["s"], steps["s"])[None, None, None, :]
+    best_value = None
+    best_point = None
+    for nt in problem.NT_domain:
+        d1 = inner_side(D1, nt, w, s)
+        d2 = inner_side(D2, nt, w, s)
+        mask = (
+            (D1 < D2)
+            & (d1 > 0.0)
+            & (d2 > 0.0)
+            & (d1 >= b["d1"][0]) & (d1 <= b["d1"][1])
+            & (d2 >= b["d2"][0]) & (d2 <= b["d2"][1])
+        )
+        if not mask.any():
+            continue
+        L = inductance_from_dims(
+            D1, D2, np.maximum(d1, _TINY), np.maximum(d2, _TINY), w, s,
+            nt, problem.n_layers, problem.layer_gap,
+            coefficients=problem.coefficients,
+        )
+        L = np.where(mask, L, -np.inf)
+        flat_index = int(np.argmax(L))
+        value = float(L.reshape(-1)[flat_index])
+        i, j, k, m = np.unravel_index(flat_index, L.shape)
+        point = (
+            float(D1[i, 0, 0, 0]), float(D2[0, j, 0, 0]),
+            float(w[0, 0, k, 0]), float(s[0, 0, 0, m]), nt,
+        )
+        if _better(value, point, best_value, best_point):
+            best_value = value
+            best_point = point
+    if best_point is None:
+        raise InfeasibleProblemError("no feasible grid point in the box at this resolution")
+    return _result(problem, best_point, ())
+
+
+_ORACLE_STEPS = {"D1": 1.0e-3, "D2": 1.0e-3, "w": 0.5e-3, "s": 0.3e-3}
+
+
+@st.composite
+def _oracle_coefficients(draw):
+    a = {f"a{i}": draw(_exponent) for i in range(1, 10)}
+    kind = draw(st.sampled_from(["free", "flat in D2", "a1 + a3 <= 0"]))
+    if kind == "flat in D2":
+        # L does not depend on D2: exact ties along the whole D2 axis.
+        a.update(a2=0.0, a4=0.0)
+    elif kind == "a1 + a3 <= 0":
+        a["a3"] = -a["a1"] - draw(st.floats(0.0, 2.0))
+    return CoefficientSet(a0=draw(st.floats(0.1, 10.0)), **a)
+
+
+def _tenth_mm_box(D1, D2, d1, d2, w, s):
+    # Each argument is (lower, width) in tenths of a mm.
+    pairs = {"D1": D1, "D2": D2, "d1": d1, "d2": d2, "w": w, "s": s}
+    return {key: (mm_to_m(lower / 10.0), mm_to_m((lower + width) / 10.0))
+            for key, (lower, width) in pairs.items()}
+
+
+@st.composite
+def _oracle_boxes(draw):
+    # D2's range starts from 20 mm below D1's lower bound to 40 mm above
+    # it, so the ranges often overlap and D1 < D2 binds.  Each inner-side
+    # range starts up to 40 mm below its outer side's, so most boxes have
+    # feasible points at some N_T but not at every one.
+    D1 = (draw(st.integers(50, 600)), draw(st.integers(0, 300)))
+    D2 = (max(D1[0] + draw(st.integers(-200, 400)), 10), draw(st.integers(0, 300)))
+    d1 = (max(D1[0] - draw(st.integers(0, 400)), 0), draw(st.integers(0, 600)))
+    d2 = (max(D2[0] - draw(st.integers(0, 400)), 0), draw(st.integers(0, 600)))
+    w = (draw(st.integers(1, 30)), draw(st.integers(0, 20)))
+    s = (draw(st.integers(1, 10)), draw(st.integers(0, 10)))
+    return _tenth_mm_box(D1, D2, d1, d2, w, s)
+
+
+# About half the drawn boxes have a feasible point; 200 examples give
+# about 100 compared optima.
+@settings(max_examples=200)
+@given(
+    bounds=_oracle_boxes(),
+    NT=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    NL=st.integers(1, 4),
+    gap=st.integers(1, 20),
+    coefficients=_oracle_coefficients(),
+)
+# D1 < D2 binds on the overlap of 40-60 mm and 50-70 mm.
+@example(bounds=_tenth_mm_box((400, 200), (500, 200), (0, 600), (0, 600), (10, 20), (1, 9)),
+         NT=[2, 3], NL=2, gap=5, coefficients=DEFAULT_COEFFICIENTS)
+# N_T 8 is empty, since its inner sides cannot reach 20 mm; N_T 2 is not.
+@example(bounds=_tenth_mm_box((200, 100), (350, 100), (200, 100), (200, 300), (20, 10), (5, 5)),
+         NT=[2, 8], NL=1, gap=1, coefficients=DEFAULT_COEFFICIENTS)
+# No N_T has a feasible point: d1 cannot reach 50 mm.
+@example(bounds=_tenth_mm_box((300, 100), (500, 100), (500, 100), (0, 600), (10, 10), (1, 9)),
+         NT=[1, 4], NL=3, gap=5, coefficients=DEFAULT_COEFFICIENTS)
+# The reference task on a smaller box with a2 = a4 = 0: the ties along D2
+# go to its lowest feasible value, 62 mm.
+@example(bounds=_tenth_mm_box((420, 120), (550, 200), (105, 415), (200, 500), (25, 10), (1, 9)),
+         NT=[7, 8], NL=4, gap=5, coefficients=replace(DEFAULT_COEFFICIENTS, a2=0.0, a4=0.0))
+# At N_T = 1, s drops out of d = D - 2*w, so with a6 = 0 the two s values
+# tie in exact arithmetic; the rounding of d and of the product orders
+# them differently in the two oracles.
+@example(bounds=_tenth_mm_box((272, 0), (273, 0), (0, 205), (0, 206), (14, 20), (5, 3)),
+         NT=[1], NL=1, gap=1,
+         coefficients=CoefficientSet(1.5, 0.0, 1.0, -0.875, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+# With a1 = a2 = -3, L falls with D1, so the optimum sits on d1's floor:
+# at D1 = 45.6 mm, d1 = D1 - 13 mm equals the 32.6 mm bound exactly.
+@example(bounds=_tenth_mm_box((366, 200), (434, 200), (326, 300), (0, 900), (17, 0), (7, 0)),
+         NT=[3], NL=1, gap=1, coefficients=replace(DEFAULT_COEFFICIENTS, a1=-3.0, a2=-3.0))
+def test_factored_oracle_matches_the_dense_reference(bounds, NT, NL, gap, coefficients):
+    problem = OptimizationProblem(
+        bounds, tuple(NT), NL, mm_to_m(gap / 10.0) if NL > 1 else None, coefficients
+    )
+    try:
+        expected = _parent_brute_force_max(problem, _ORACLE_STEPS)
+    except InfeasibleProblemError:
+        with pytest.raises(InfeasibleProblemError):
+            brute_force_max(problem, _ORACLE_STEPS)
+        return
+    result = brute_force_max(problem, _ORACLE_STEPS)
+    if result.best != expected.best:
+        # The side factors multiply in another order than the kernel's one
+        # chain, so two grid points whose L is equal in exact arithmetic
+        # (an exponent of 0, or one of order 1e-16) may round the other
+        # way round.  The two picks must then tie within 45 float64 ulps,
+        # and the factored pick must be a feasible point.
+        g = result.best
+        assert feasible((g.D1, g.D2, g.w, g.s, g.n_turns), problem)[0]
+        assert result.L_best == pytest.approx(expected.L_best, rel=1e-14, abs=0.0)
+        return
+    assert result.L_best == expected.L_best
+    assert result.to_mapping() == expected.to_mapping()
+
+
+def test_oracle_reads_feasibility_from_the_masks_when_every_product_underflows():
+    # With exponents of 150 every product is 0.0, so the argmax is the first
+    # grid point, D1 = D2 = 30 mm, which D1 < D2 excludes.  The first
+    # feasible point is the answer, as in the reference.
+    bounds = dict(small_problem().bounds, D1=(0.03, 0.04), D2=(0.03, 0.04))
+    coefficients = replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0)
+    problem = small_problem(bounds=bounds, coefficients=coefficients)
+    result = brute_force_max(problem, _ORACLE_STEPS)
+    assert result.L_best == 0.0
+    assert result == _parent_brute_force_max(problem, _ORACLE_STEPS)
+    assert (result.best.D1, result.best.D2) == (0.03, 0.031)
+
+
+def test_factored_oracle_matches_the_reference_at_default_steps():
+    assert brute_force_max(default_problem()) == _parent_brute_force_max(default_problem())
+
+
+def _binding_problem():
+    # D1 < D2 binds (D1 reaches 100 mm, D2 only 80 mm) and so do the
+    # upper bounds of d1 and d2: the unmasked product peaks off the
+    # feasible set, at D1 > D2 and at inner sides above their bounds.
+    base = default_problem()
+    bounds = _tenth_mm_box((400, 600), (500, 300), (100, 500), (200, 300), (10, 20), (1, 4))
+    return replace(base, bounds=bounds, NT_domain=(3, 4))
+
+
+def _oracle_peak_per_point(problem):
+    # tracemalloc's peak during one call, in float64 values per grid point.
+    points = math.prod(
+        _axis_layout(*problem.bounds[key], step)[3] for key, step in DEFAULT_RESOLUTION.items()
+    )
+    tracemalloc.start()
+    try:
+        brute_force_max(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * points)
+
+
+def test_oracle_memory_is_one_dense_array_per_grid():
+    # The product over one N_T's grid is the only dense array; the dense
+    # 4-D reference, _parent_brute_force_max, peaks at about 3.2.
+    assert _oracle_peak_per_point(default_problem()) <= 2.5
+    # Where the masks bind, the zeroed product must still keep its argmax
+    # on the feasible set: the scan of the feasible points alone, with its
+    # full-grid mask and second dense array, would read above 2.
+    problem = _binding_problem()
+    assert brute_force_max(problem) == _parent_brute_force_max(problem)
+    assert _oracle_peak_per_point(problem) <= 1.5
+
+
+@pytest.mark.parametrize("flat, problem, side, first_mm", [
+    # Every D1 from 40 to 58 mm ties; 40 mm is D1's lower bound.
+    (("a1", "a3"), _binding_problem(), "D1", 40.0),
+    # At N_T 8, w 2.5 and s 0.1 mm, d2 = D2 - 41.4 mm reaches its 54 mm
+    # floor first at D2 = 95.5 mm on the 0.5 mm grid.
+    (("a2", "a4"), default_problem(), "D2", 95.5),
+])
+def test_oracle_ties_go_to_the_first_grid_point(flat, problem, side, first_mm):
+    # With one side's exponents 0, L is flat along that side's D, so every
+    # feasible value of it ties exactly and the lowest one must win.
+    problem = replace(problem, coefficients=replace(
+        DEFAULT_COEFFICIENTS, **{name: 0.0 for name in flat}
+    ))
+    result = brute_force_max(problem)
+    assert result == _parent_brute_force_max(problem)
+    assert m_to_mm(getattr(result.best, side)) == pytest.approx(first_mm, abs=1e-9)

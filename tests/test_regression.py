@@ -318,6 +318,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(self.make_samples(), DEFAULT_COEFFICIENTS, threshold_pct=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_are_rejected(self, value):
+        # NaN fails every comparison, so as a threshold it would count no
+        # exceedance, and as a bin width it makes NumPy warn while casting
+        # the bin indices; an infinite width makes one unbounded bin.
+        with pytest.raises(ValueError, match="^threshold_pct must be >= 0 and finite"):
+            evaluate(self.make_samples(), DEFAULT_COEFFICIENTS, threshold_pct=value)
+        with pytest.raises(ValueError, match="^bin_width_pct must be positive and finite"):
+            evaluate(self.make_samples(), DEFAULT_COEFFICIENTS, bin_width_pct=value)
+        report = evaluate(self.make_samples(), DEFAULT_COEFFICIENTS, threshold_pct=0.0)
+        assert report.threshold_pct == 0.0
+
     def test_report_is_json_ready(self):
         report = evaluate(self.make_samples(), DEFAULT_COEFFICIENTS)
         mapping = json.loads(json.dumps(report.to_mapping()))
