@@ -406,6 +406,9 @@ def main(argv=None) -> int:
     except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OverflowError as exc:
+        print(f"error: a model value is outside the float range: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (GeometryError, InfeasibleProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -151,10 +151,9 @@ DEFAULT_RESOLUTION = {
 }
 
 
-# The oracle holds one dense float64 array over each N_T's grid, the product
-# of the side factors; 2**24 points (128 MB) is 8x the default grid on the
-# reference box.
-MAX_GRID_POINTS = 2 ** 24
+# The oracle peaks near 6.4 float64 values per point of its larger side grid:
+# about 190 MB RSS at 2**21 points, 87x the reference box's default side grid.
+MAX_GRID_POINTS = 2 ** 21
 
 
 def oracle_steps(
@@ -164,9 +163,9 @@ def oracle_steps(
 
     The one rule for a valid resolution.  Keys are D1, D2, w and s, and a
     step must be finite and positive once rounded to the nanometer grid
-    on which :func:`brute_force_max` lays out its axes.  The grid on
-    problem's box may then have at most MAX_GRID_POINTS points per N_T;
-    the count comes from that axis layout, before anything is allocated.
+    on which :func:`brute_force_max` lays out its axes.  The larger side
+    grid, (D1, w, s) or (D2, w, s), may then have at most MAX_GRID_POINTS
+    points; the count comes from that layout, before anything is allocated.
 
     Raises:
         ValueError: for an unknown key, a step outside that rule, or a
@@ -182,11 +181,11 @@ def oracle_steps(
                 f"resolution step for {key} must be positive and finite at 1 nm, got {step} m"
             )
         steps[key] = step
-    points = math.prod(_axis_layout(*problem.bounds[key], steps[key])[3] for key in steps)
+    n = {key: _axis_layout(*problem.bounds[key], steps[key])[3] for key in steps}
+    points = max(n["D1"], n["D2"]) * n["w"] * n["s"]
     if points > MAX_GRID_POINTS:
-        raise ValueError(
-            f"the oracle grid has {points} points per N_T, above the limit of {MAX_GRID_POINTS}"
-        )
+        raise ValueError(f"the oracle's larger side grid has {points} (D, w, s) points, "
+                         f"above the limit of {MAX_GRID_POINTS}")
     return steps
 
 
@@ -498,65 +497,66 @@ def brute_force_max(
     with a deterministic lexicographic tie-break on (D1, D2, w, s, N_T).
 
     The model is a product of powers in which d1 depends only on
-    (D1, w, s) and d2 only on (D2, w, s).  So, per N_T, each side's factor
-    is computed on its own 3-D grid: F1 on (D1, w, s) and F2 on (D2, w, s).
-    Both come from the one kernel, :func:`inductance_from_dims`, with the
-    other side's arguments set to 1.0; since 1.0 ** a == 1.0 and
-    mean_side(1.0, 1.0) == 1.0, those factors drop out.  F1 * F2 is then
-    L times the constant a0 * mu0, which moves no argmax.  Each side is 0
-    where its own inner-side rule fails (d > 0 and the d bounds), and one
-    dense product over (D1, D2, w, s), with D1 < D2 applied as a 2-D mask
-    where it binds, is scanned by argmax; its first flat index keeps the
-    lexicographic tie-break.  Feasibility is read from the masks, never
-    from the product's value: should the argmax land off the feasible
-    set, which happens only when every feasible product underflows to 0
-    or one is not finite, the feasible points alone are scanned.
+    (D1, w, s) and d2 only on (D2, w, s).  So, per N_T, F1 on the
+    (D1, w, s) grid and F2 on (D2, w, s) come from the one kernel,
+    :func:`inductance_from_dims`, with the other side's arguments at 1.0,
+    which drop out (1.0 ** a == 1.0, mean_side(1.0, 1.0) == 1.0); F1 * F2
+    is L times a0 * mu0.  F1 is -inf where d1 breaks its rule (d > 0 and
+    the d bounds), so even a feasible factor that underflowed to 0 beats
+    it.  The D1 values below D2[j] are a prefix of the D1 axis, so the best
+    L at (D2[j], w, s) is F2 times the running maximum of F1 at the end of
+    that prefix, first reached at the lowest D1 that ties.  No array spans
+    (D1, D2, w, s).
 
     Raises:
         ValueError: if resolution breaks the rule of :func:`oracle_steps`.
         InfeasibleProblemError: if no grid point is feasible.
+        OverflowError: if L at a feasible grid point is not finite.
     """
     steps = oracle_steps(problem, resolution)
     b = problem.bounds
     c = problem.coefficients
     D1, D2, w, s = (_axis(*b[key], steps[key]) for key in ("D1", "D2", "w", "s"))
-    # Each side's grid is (D, w, s); the product's is (D1, D2, w, s).
+    # D1[:last[j] + 1] are the D1 values below D2[j]; a D2 with none has no feasible point.
+    D2 = D2[D2 > D1[0]]
+    last = np.searchsorted(D1, D2) - 1
     D1_, D2_, w_, s_ = D1[:, None, None], D2[:, None, None], w[None, :, None], s[None, None, :]
-    below = D1[:, None] < D2[None, :]
-    # One dense buffer, reused by every N_T.
-    L = np.empty((D1.size, D2.size, w.size, s.size))
-    best_value = None
-    best_point = None
-    for nt in problem.NT_domain:
+
+    def best_at(nt: int):
+        # The best (L, point) at one N_T, or None; its arrays die on return.
         d1 = inner_side(D1_, nt, w_, s_)
         d2 = inner_side(D2_, nt, w_, s_)
         ok1 = (d1 > 0.0) & (d1 >= b["d1"][0]) & (d1 <= b["d1"][1])
         ok2 = (d2 > 0.0) & (d2 >= b["d2"][0]) & (d2 <= b["d2"][1])
         if not (ok1.any() and ok2.any()):
-            continue
-        F1 = inductance_from_dims(
-            D1_, 1.0, np.maximum(d1, _TINY), 1.0, 1.0, 1.0, 1, 1, None, coefficients=c,
-        )
-        F2 = inductance_from_dims(
-            1.0, D2_, 1.0, np.maximum(d2, _TINY), w_, s_,
-            nt, problem.n_layers, problem.layer_gap, coefficients=c,
-        )
-        np.multiply(np.where(ok1, F1, 0.0)[:, None], np.where(ok2, F2, 0.0)[None, :], out=L)
-        # Zeroes the (D1, D2) pairs that D1 < D2 excludes; none unless it binds.
-        L[~below] = 0.0
-        i, j, k, m = np.unravel_index(int(np.argmax(L)), L.shape)
-        if not (ok1[i, k, m] and ok2[j, k, m] and below[i, j]):
-            # No point is feasible, every feasible product underflowed to
-            # 0, or a product is not finite.
-            mask = ok1[:, None] & ok2[None, :] & below[:, :, None, None]
-            if not mask.any():
-                continue
-            i, j, k, m = np.unravel_index(int(np.argmax(np.where(mask, L, -np.inf))), L.shape)
-        value = float(L[i, j, k, m])
-        point = (float(D1[i]), float(D2[j]), float(w[k]), float(s[m]), nt)
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            F1 = np.maximum.accumulate(np.where(ok1, inductance_from_dims(
+                D1_, 1.0, np.maximum(d1, _TINY, out=d1), 1.0, 1.0, 1.0, 1, 1, None, coefficients=c,
+            ), -np.inf), axis=0)
+            F2 = inductance_from_dims(
+                1.0, D2_, 1.0, np.maximum(d2, _TINY, out=d2), w_, s_,
+                nt, problem.n_layers, problem.layer_gap, coefficients=c,
+            )
+            # The first D1 at which each running maximum is reached (row 0: D1[0] either way).
+            first = np.maximum.accumulate(np.where(F1 > np.roll(F1, 1, axis=0), D1_, D1[0]), axis=0)
+            F1 = F1[last]
+            L = np.multiply(F1, F2, out=np.full(F2.shape, -np.inf), where=ok2 & (F1 != -np.inf))
+        value = float(L.max())
+        if value == -math.inf:
+            return None
+        if not value < math.inf:
+            raise OverflowError(f"the model is not finite at a feasible grid point, N_T = {nt}")
+        j, k, m = np.nonzero(L == value)
+        x = first[last[j], k, m]
+        n = int(np.argmin(x))
+        return value, (float(x[n]), float(D2[j[n]]), float(w[k[n]]), float(s[m[n]]), nt)
+
+    best_value = None
+    best_point = None
+    for value, point in filter(None, map(best_at, problem.NT_domain)):
         if _better(value, point, best_value, best_point):
-            best_value = value
-            best_point = point
+            best_value, best_point = value, point
     if best_point is None:
         raise InfeasibleProblemError(
             "no feasible grid point in the box at this resolution"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Sample, split_train_eval
 from .estimator import COEFFICIENT_NAMES, MU0, CoefficientSet, inductance, inductance_from_dims
-from .geometry import mean_side
+from .geometry import is_integer, mean_side
 
 FEATURE_NAMES = (
     "intercept",
@@ -200,6 +200,14 @@ def _histogram(errors: np.ndarray, bin_width_pct: float) -> tuple[tuple[float, f
     )
 
 
+def _check_report_settings(threshold_pct: float, bin_width_pct: float) -> None:
+    """Raise ValueError unless the settings of :func:`evaluate` are in range."""
+    if not 0.0 < bin_width_pct < math.inf:
+        raise ValueError(f"bin_width_pct must be positive and finite, got {bin_width_pct}")
+    if not 0.0 <= threshold_pct < math.inf:
+        raise ValueError(f"threshold_pct must be >= 0 and finite, got {threshold_pct}")
+
+
 def evaluate(
     samples: Sequence[Sample],
     coefficients: CoefficientSet,
@@ -209,10 +217,7 @@ def evaluate(
     """Error statistics of a coefficient set on labeled windings."""
     if len(samples) == 0:
         raise ValueError("no samples to evaluate")
-    if not 0.0 < bin_width_pct < math.inf:
-        raise ValueError(f"bin_width_pct must be positive and finite, got {bin_width_pct}")
-    if not 0.0 <= threshold_pct < math.inf:
-        raise ValueError(f"threshold_pct must be >= 0 and finite, got {threshold_pct}")
+    _check_report_settings(threshold_pct, bin_width_pct)
     c = _Columns(samples)
     layers = np.array(c.NL)
     L_model = np.empty(len(samples))
@@ -254,6 +259,7 @@ def fit_and_evaluate(
     bin_width_pct: float = 0.5,
 ) -> tuple[CoefficientSet, FitReport]:
     """Split, fit on the training side, evaluate on the held-out side."""
+    _check_report_settings(threshold_pct, bin_width_pct)
     split = split_train_eval(samples, fraction, seed)
     train = [samples[i] for i in split.train]
     held_out = [samples[i] for i in split.eval]
@@ -290,14 +296,14 @@ def repeated_fit(
     the recovered coefficients move with the split, which is the cheap check
     that a fit is not an artifact of one particular shuffle.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if not (is_integer(repeats) and repeats >= 1):
+        raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
     results = []
     for i in range(repeats):
         coefficients, report = fit_and_evaluate(
             samples, fraction, base_seed + i, threshold_pct, bin_width_pct
         )
-        report = replace(report, repeats=repeats)
+        report = replace(report, repeats=int(repeats))
         results.append((coefficients, report))
     stacked = np.array([c.as_tuple() for c, _ in results])
     dispersion = CoefficientDispersion(

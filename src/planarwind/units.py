@@ -31,10 +31,15 @@ def json_field(name: str, value, kind: str):
     kind "number" returns the value as a float, "list" as a tuple, and
     "object" and "string" as given.  Any other value raises ValueError
     naming the field: null, strings and booleans (which Python counts as
-    ints) are no numbers, and only arrays are lists.
+    ints) are no numbers, an integer too large for a float is out of
+    range, and only arrays are lists.
     """
     if kind == "number" and isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be a JSON number in the float range, "
+                             f"got {value!r}") from None
     if kind == "list" and isinstance(value, (list, tuple)):
         return tuple(value)
     if kind == "object" and isinstance(value, Mapping):

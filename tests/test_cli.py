@@ -570,6 +570,9 @@ REPEATED = object()
     ("optimize", "coefficients", 5),
     ("grid", "NT_values", 6),
     ("grid", "D1_values", [70.0, True]),
+    # An integer too large for a float is out of range, not an overflow.
+    ("grid", "D1_values", [10 ** 400]),
+    ("optimize", "D1", [12, 10 ** 400]),
     ("estimate", "a1", [1]),
     ("estimate", "a7", "1.794"),
     ("optimize", None, 5),
@@ -619,6 +622,30 @@ def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, 
     assert code == 3 and stdout == ""
     assert "error:" in err
     assert value is not REPEATED or f"error: JSON object repeats key '{key}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("estimate", ["--D1", "100", "--D2", "100", "--w", "5", "--s", "1",
+                  "--NT", "5", "--NL", "100000", "--O", "1.6"]),
+    ("estimate", ["--D1", "1e300", "--D2", "1e300", "--w", "5", "--s", "1",
+                  "--NT", "5", "--NL", "4", "--O", "1.6"]),
+    ("grid", ["--labels", "default"]),
+    ("optimize", ["--restarts", "1"]),
+])
+def test_a_model_value_outside_the_float_range_exits_5(capsys, tmp_path, command, flags):
+    # O ** (a9 * (N_L - 1)) or a mean side ** a3 overflows as the model is evaluated.
+    problem = {**default_problem().to_mapping(), "NL": 10 ** 30}
+    (tmp_path / "problem.json").write_text(json.dumps(problem))
+    out = tmp_path / "out"
+    args = {
+        "estimate": ["--output", str(out)],
+        "grid": ["--spec", str(small_spec_file(tmp_path, NL_values=[100000])), "--out", str(out)],
+        "optimize": ["--problem", str(tmp_path / "problem.json"), "--out", str(out)],
+    }[command]
+    code, stdout, err = run(capsys, command, *flags, *args)
+    assert code == 5 and stdout == ""
+    assert err.startswith("error: a model value is outside the float range: ")
     assert not out.exists()
 
 

@@ -417,21 +417,41 @@ class TestBruteForce:
 
     # Only the point counts are computed here; no grid is allocated.
     def test_grid_size_is_limited_before_allocation(self):
-        # The default grid, 85 x 93 x 26 x 10 points per N_T, is within the limit.
+        # The default side grids, 85 or 93 x 26 x 10 points, are within the limit.
         assert oracle_steps(default_problem()) == DEFAULT_RESOLUTION
         assert oracle_steps(default_problem(), {"D1": 1e-3}) == {**DEFAULT_RESOLUTION, "D1": 1e-3}
-        with pytest.raises(ValueError, match="1015584180 points per N_T, above the limit"):
+        with pytest.raises(ValueError, match="side grid has 10920260 .D, w, s. points, above"):
             brute_force_max(default_problem(), {"D1": 1e-6})
-        # Exactly MAX_GRID_POINTS passes and one more axis line does not.
+        # Exactly MAX_GRID_POINTS on each side passes and one more D2 line does not.
         bounds = dict(default_problem().bounds)
-        bounds.update(D1=(1e-3, 4096e-3), D2=(5000e-3, 9095e-3), w=(1e-3, 1e-3), s=(1e-3, 1e-3))
+        bounds.update(D1=(1e-3, 8192e-3), D2=(9000e-3, 17191e-3), w=(1e-3, 16e-3), s=(1e-3, 16e-3))
         problem = replace(default_problem(), bounds=bounds)
-        steps = {"D1": 1e-3, "D2": 1e-3}
-        assert 4096 * 4096 == MAX_GRID_POINTS
-        assert oracle_steps(problem, steps) == {**DEFAULT_RESOLUTION, **steps}
-        bounds["D2"] = (5000e-3, 9096e-3)
-        with pytest.raises(ValueError, match="16781312 points per N_T"):
+        steps = {"D1": 1e-3, "D2": 1e-3, "w": 1e-3, "s": 1e-3}
+        assert 8192 * 16 * 16 == MAX_GRID_POINTS
+        assert oracle_steps(problem, steps) == steps
+        bounds["D2"] = (9000e-3, 17192e-3)
+        with pytest.raises(ValueError, match="side grid has 2097408 "):
             oracle_steps(replace(problem, bounds=bounds), steps)
+
+    def test_a_grid_of_50_million_points_per_nt_runs(self):
+        # 421 x 461 x 26 x 10 = 50,461,060 points per N_T, while each side
+        # grid has at most 119,860; nothing over (D1, D2, w, s) is allocated.
+        result = brute_force_max(default_problem(), {"D1": 1e-4, "D2": 1e-4})
+        g = result.best
+        assert (g.D1, g.D2, g.w, g.s, g.n_turns) == (0.054, 0.101, 0.0025, 0.0001, 8)
+        assert result.L_best == inductance(g, DEFAULT_COEFFICIENTS)
+
+    @pytest.mark.parametrize("exponents", [
+        # D1 ** -200 overflows, so a side-1 factor is inf or nan.
+        {"a1": -200.0, "a3": 300.0},
+        # Every feasible factor is finite, below 1e231; some products are not.
+        {"a1": -150.0, "a2": -150.0},
+    ])
+    def test_a_model_outside_the_float_range_is_an_overflow(self, exponents):
+        problem = replace(default_problem(),
+                          coefficients=replace(DEFAULT_COEFFICIENTS, **exponents))
+        with pytest.raises(OverflowError, match="^the model is not finite at a feasible grid"):
+            brute_force_max(problem)
 
 
 class TestResultSerialization:
@@ -602,6 +622,52 @@ def _parent_brute_force_max(problem, resolution=None):
     return _result(problem, best_point, ())
 
 
+def _factored_brute_force_max(problem, resolution=None):
+    # The oracle as it was before the running-maximum scan: per-side factors
+    # multiplied into one dense (D1, D2, w, s) product per N_T, D1 >= D2
+    # zeroed, and a scan of the feasible points alone when the argmax lands
+    # off them.  brute_force_max must return the same best point.
+    steps = oracle_steps(problem, resolution)
+    b = problem.bounds
+    c = problem.coefficients
+    D1, D2, w, s = (_axis(*b[key], steps[key]) for key in ("D1", "D2", "w", "s"))
+    D1_, D2_, w_, s_ = D1[:, None, None], D2[:, None, None], w[None, :, None], s[None, None, :]
+    below = D1[:, None] < D2[None, :]
+    L = np.empty((D1.size, D2.size, w.size, s.size))
+    best_value = None
+    best_point = None
+    for nt in problem.NT_domain:
+        d1 = inner_side(D1_, nt, w_, s_)
+        d2 = inner_side(D2_, nt, w_, s_)
+        ok1 = (d1 > 0.0) & (d1 >= b["d1"][0]) & (d1 <= b["d1"][1])
+        ok2 = (d2 > 0.0) & (d2 >= b["d2"][0]) & (d2 <= b["d2"][1])
+        if not (ok1.any() and ok2.any()):
+            continue
+        F1 = inductance_from_dims(
+            D1_, 1.0, np.maximum(d1, _TINY), 1.0, 1.0, 1.0, 1, 1, None, coefficients=c,
+        )
+        F2 = inductance_from_dims(
+            1.0, D2_, 1.0, np.maximum(d2, _TINY), w_, s_,
+            nt, problem.n_layers, problem.layer_gap, coefficients=c,
+        )
+        np.multiply(np.where(ok1, F1, 0.0)[:, None], np.where(ok2, F2, 0.0)[None, :], out=L)
+        L[~below] = 0.0
+        i, j, k, m = np.unravel_index(int(np.argmax(L)), L.shape)
+        if not (ok1[i, k, m] and ok2[j, k, m] and below[i, j]):
+            mask = ok1[:, None] & ok2[None, :] & below[:, :, None, None]
+            if not mask.any():
+                continue
+            i, j, k, m = np.unravel_index(int(np.argmax(np.where(mask, L, -np.inf))), L.shape)
+        value = float(L[i, j, k, m])
+        point = (float(D1[i]), float(D2[j]), float(w[k]), float(s[m]), nt)
+        if _better(value, point, best_value, best_point):
+            best_value = value
+            best_point = point
+    if best_point is None:
+        raise InfeasibleProblemError("no feasible grid point in the box at this resolution")
+    return _result(problem, best_point, ())
+
+
 _ORACLE_STEPS = {"D1": 1.0e-3, "D2": 1.0e-3, "w": 0.5e-3, "s": 0.3e-3}
 
 
@@ -662,6 +728,10 @@ def _oracle_boxes(draw):
 # go to its lowest feasible value, 62 mm.
 @example(bounds=_tenth_mm_box((420, 120), (550, 200), (105, 415), (200, 500), (25, 10), (1, 9)),
          NT=[7, 8], NL=4, gap=5, coefficients=replace(DEFAULT_COEFFICIENTS, a2=0.0, a4=0.0))
+# D2 starts at D1's lower bound, where no D1 lies below it, and L falls
+# with D2: the optimum is the lowest pair, 30 and 31 mm.
+@example(bounds=_tenth_mm_box((300, 100), (300, 100), (0, 600), (0, 600), (10, 10), (1, 9)),
+         NT=[2], NL=1, gap=1, coefficients=replace(DEFAULT_COEFFICIENTS, a2=-3.0))
 # At N_T = 1, s drops out of d = D - 2*w, so with a6 = 0 the two s values
 # tie in exact arithmetic; the rounding of d and of the product orders
 # them differently in the two oracles.
@@ -679,22 +749,26 @@ def test_factored_oracle_matches_the_dense_reference(bounds, NT, NL, gap, coeffi
     try:
         expected = _parent_brute_force_max(problem, _ORACLE_STEPS)
     except InfeasibleProblemError:
-        with pytest.raises(InfeasibleProblemError):
-            brute_force_max(problem, _ORACLE_STEPS)
+        for oracle in (brute_force_max, _factored_brute_force_max):
+            with pytest.raises(InfeasibleProblemError):
+                oracle(problem, _ORACLE_STEPS)
         return
     result = brute_force_max(problem, _ORACLE_STEPS)
-    if result.best != expected.best:
-        # The side factors multiply in another order than the kernel's one
-        # chain, so two grid points whose L is equal in exact arithmetic
-        # (an exponent of 0, or one of order 1e-16) may round the other
-        # way round.  The two picks must then tie within 45 float64 ulps,
-        # and the factored pick must be a feasible point.
-        g = result.best
-        assert feasible((g.D1, g.D2, g.w, g.s, g.n_turns), problem)[0]
-        assert result.L_best == pytest.approx(expected.L_best, rel=1e-14, abs=0.0)
-        return
-    assert result.L_best == expected.L_best
-    assert result.to_mapping() == expected.to_mapping()
+    for reference in (expected, _factored_brute_force_max(problem, _ORACLE_STEPS)):
+        if result.best != reference.best:
+            # The side factors multiply in another order than the kernel's one
+            # chain, so two grid points whose L is equal in exact arithmetic
+            # (an exponent of 0, or one of order 1e-16) may round the other
+            # way round; so may two products of one side-2 factor with two
+            # side-1 factors that differ in their last bits.  The two picks
+            # must then tie within 45 float64 ulps, and the pick must be a
+            # feasible point.
+            g = result.best
+            assert feasible((g.D1, g.D2, g.w, g.s, g.n_turns), problem)[0]
+            assert result.L_best == pytest.approx(reference.L_best, rel=1e-14, abs=0.0)
+            continue
+        assert result.L_best == reference.L_best
+        assert result.to_mapping() == reference.to_mapping()
 
 
 def test_oracle_reads_feasibility_from_the_masks_when_every_product_underflows():
@@ -708,6 +782,21 @@ def test_oracle_reads_feasibility_from_the_masks_when_every_product_underflows()
     assert result.L_best == 0.0
     assert result == _parent_brute_force_max(problem, _ORACLE_STEPS)
     assert (result.best.D1, result.best.D2) == (0.03, 0.031)
+
+
+@pytest.mark.parametrize("exponent", ["a1", "a2"])
+def test_a_side_factor_of_0_is_still_feasible(exponent):
+    # An exponent of 300 on D1 or D2 makes that side's factor 0.0 everywhere.
+    # d1 clears its 20 mm floor only from D1 = 31 mm, so D1 = 30 mm must not
+    # win the tie at 0, and the 31 mm D2, with no feasible D1 below it, must
+    # not turn -inf * 0.0 into a NaN.
+    bounds = dict(small_problem().bounds, D1=(0.03, 0.04), D2=(0.03, 0.04), d1=(0.02, 0.1))
+    coefficients = replace(DEFAULT_COEFFICIENTS, **{exponent: 300.0})
+    problem = small_problem(bounds=bounds, coefficients=coefficients)
+    result = brute_force_max(problem, _ORACLE_STEPS)
+    assert result.L_best == 0.0
+    assert result == _parent_brute_force_max(problem, _ORACLE_STEPS)
+    assert (result.best.D1, result.best.D2) == (0.031, 0.032)
 
 
 def test_factored_oracle_matches_the_reference_at_default_steps():
@@ -724,10 +813,11 @@ def _binding_problem():
 
 
 def _oracle_peak_per_point(problem):
-    # tracemalloc's peak during one call, in float64 values per grid point.
-    points = math.prod(
-        _axis_layout(*problem.bounds[key], step)[3] for key, step in DEFAULT_RESOLUTION.items()
-    )
+    # tracemalloc's peak during one call, in float64 values per point of
+    # the larger side grid, (D1, w, s) or (D2, w, s).
+    n = {key: _axis_layout(*problem.bounds[key], step)[3]
+         for key, step in DEFAULT_RESOLUTION.items()}
+    points = max(n["D1"], n["D2"]) * n["w"] * n["s"]
     tracemalloc.start()
     try:
         brute_force_max(problem)
@@ -737,16 +827,15 @@ def _oracle_peak_per_point(problem):
     return peak / (8 * points)
 
 
-def test_oracle_memory_is_one_dense_array_per_grid():
-    # The product over one N_T's grid is the only dense array; the dense
-    # 4-D reference, _parent_brute_force_max, peaks at about 3.2.
-    assert _oracle_peak_per_point(default_problem()) <= 2.5
-    # Where the masks bind, the zeroed product must still keep its argmax
-    # on the feasible set: the scan of the feasible points alone, with its
-    # full-grid mask and second dense array, would read above 2.
-    problem = _binding_problem()
+@pytest.mark.parametrize("problem", [default_problem(), _binding_problem()],
+                         ids=["default", "binding"])
+def test_oracle_memory_is_bounded_per_side_grid_point(problem):
+    # About 6.4 on the default problem and 5.3 where D1 < D2 and the upper
+    # d bounds bind.  An array over (D1, D2, w, s) would read |D1| times
+    # that, and one N_T's side-grid arrays kept alive into the next N_T's
+    # about 3.5 more.
     assert brute_force_max(problem) == _parent_brute_force_max(problem)
-    assert _oracle_peak_per_point(problem) <= 1.5
+    assert _oracle_peak_per_point(problem) <= 8.0
 
 
 @pytest.mark.parametrize("flat, problem, side, first_mm", [

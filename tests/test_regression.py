@@ -28,6 +28,7 @@ from planarwind import (
     repeated_fit,
     synth_labels,
 )
+from planarwind import regression
 from planarwind.units import mm_to_m
 
 
@@ -364,3 +365,29 @@ class TestPipelines:
         assert single[0][0] == results[0][0]
         with pytest.raises(ValueError):
             repeated_fit(samples, repeats=0)
+
+    @pytest.mark.parametrize("repeats", [True, 2.0, "2"])
+    def test_repeats_must_be_an_integer(self, repeats):
+        # True is an int to Python, and would run one repeat reported as true.
+        with pytest.raises(ValueError, match="^repeats must be an integer >= 1, got "):
+            repeated_fit(fit_corpus(), repeats=repeats)
+
+    def test_numpy_integer_repeats_are_accepted(self):
+        samples = fit_corpus()
+        results, dispersion = repeated_fit(samples, repeats=np.int64(2))
+        expected, expected_dispersion = repeated_fit(samples, repeats=2)
+        assert results == expected and dispersion == expected_dispersion
+        assert json.loads(json.dumps(results[0][1].to_mapping()))["repeats"] == 2
+
+    @pytest.mark.parametrize("fit", [fit_and_evaluate, repeated_fit])
+    @pytest.mark.parametrize("setting, message", [
+        ({"threshold_pct": math.nan}, "^threshold_pct must be >= 0 and finite"),
+        ({"bin_width_pct": math.inf}, "^bin_width_pct must be positive and finite"),
+    ])
+    def test_report_settings_are_checked_before_the_fit(self, monkeypatch, fit, setting, message):
+        def unreachable(samples):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(regression, "build_design_matrix", unreachable)
+        with pytest.raises(ValueError, match=message):
+            fit(fit_corpus(), **setting)
