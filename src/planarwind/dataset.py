@@ -102,9 +102,9 @@ class GridSpec:
         json_keys("grid spec", mapping, lists, [f.name for f in fields(cls) if f.name not in lists])
         values = {}
         for name in lists:
+            kind = "integer" if name in ("NT_values", "NL_values") else "number"
             items = json_field(name, mapping[name], "list")
-            counts = name in ("NT_values", "NL_values")
-            values[name] = items if counts else tuple(json_field(name, v, "number") for v in items)
+            values[name] = tuple(json_field(name, v, kind) for v in items)
         return cls(
             **values,
             min_inner=json_field("min_inner", mapping.get("min_inner", 0.0), "number"),

@@ -16,7 +16,7 @@ Model variants are coefficient sets on it: :data:`SIMPLIFIED_COEFFICIENTS`
 and :data:`MOHAN_COEFFICIENTS`.  Only :func:`mohan_inductance_um`, the
 independent check of the unit conversion, keeps its own formula.
 
-All inputs are SI (meters), all results are henries.
+All inputs are SI (meters), all results are henries, finite by :func:`require_finite`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import math
 import statistics
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .geometry import (
     GeometryError,
@@ -145,16 +147,30 @@ def inductance_from_dims(
     return value
 
 
+def require_finite(L):
+    """L, a model value or an array of them; OverflowError if one is inf or NaN.
+
+    The one statement of a model value's float range, which fitted or given
+    exponents can leave well before the winding is absurd.  0.0 is a value.
+    """
+    bad = np.asarray(L)[~np.isfinite(L)]
+    if bad.size:
+        raise OverflowError(f"L = {bad[0]} H")
+    return L
+
+
 def inductance(
     geometry: WindingGeometry,
     coefficients: CoefficientSet = DEFAULT_COEFFICIENTS,
 ) -> float:
-    """Inductance of a multilayer rectangular planar winding, in henries."""
+    """Inductance of a multilayer rectangular planar winding, in henries, finite."""
     g = geometry
-    return inductance_from_dims(
+    value = inductance_from_dims(
         g.D1, g.D2, g.d1, g.d2, g.w, g.s, g.n_turns, g.n_layers, g.layer_gap,
         coefficients=coefficients,
     )
+    # require_finite's rule inline: a NumPy call per winding costs more than the model.
+    return value if math.isfinite(value) else require_finite(value)
 
 
 def inductance_square(
@@ -200,10 +216,11 @@ def mohan_inductance(D: float, d: float, w: float, s: float, n_turns: int) -> fl
         L = 1.5428 * mu0 * D^-1.21 * ((D + d) / 2)^2.4
             * w^-0.147 * s^-0.03 * N^1.78
 
-    Returns henries.
+    Returns henries, finite by :func:`require_finite`.
     """
     _check_mohan_inputs(D, d, w, s, n_turns)
-    return inductance_from_dims(D, D, d, d, w, s, n_turns, 1, coefficients=MOHAN_COEFFICIENTS)
+    L = inductance_from_dims(D, D, d, d, w, s, n_turns, 1, coefficients=MOHAN_COEFFICIENTS)
+    return require_finite(L)
 
 
 def mohan_inductance_um(

@@ -112,10 +112,11 @@ class OptimizationProblem:
             coefficients = CoefficientSet.from_mapping(
                 json_field("coefficients", mapping["coefficients"], "object")
             )
+        turns = json_field("NT", mapping["NT"], "list")
         problem = cls(
             bounds=bounds,
-            NT_domain=json_field("NT", mapping["NT"], "list"),
-            n_layers=mapping.get("NL", 1),
+            NT_domain=tuple(json_field("NT", nt, "integer") for nt in turns),
+            n_layers=json_field("NL", mapping.get("NL", 1), "integer"),
             layer_gap=gap,
             coefficients=coefficients,
         )
@@ -387,9 +388,12 @@ def maximize(
     uniform random starts inside the (D1, D2, w, s) box, each seeded by
     (seed, N_T, restart index) so results are deterministic and the first
     k restarts of a longer run equal a k-restart run.  Converged points
-    are clipped to the box, checked exactly for feasibility, and reduced
-    to an incumbent in a fixed order with a lexicographic tie-break, so
-    the outcome does not depend on evaluation order.
+    are clipped to the box and checked exactly for feasibility.  A
+    feasible one is scored as the best is, by :func:`inductance` on its
+    :class:`WindingGeometry`, so an L outside the float range raises
+    OverflowError; the scores reduce to an incumbent in a fixed order with
+    a lexicographic tie-break, so the outcome does not depend on
+    evaluation order.
 
     SLSQP gets exact derivatives: the gradient of -log10 L in closed form
     (zero in any coordinate a _TINY clamp holds), and the constant matrix
@@ -410,63 +414,35 @@ def maximize(
     lo, hi = _box(problem)
     bounds = list(zip(lo, hi))
     records = []
-    best_value = None
-    best_point = None
-    for nt in problem.NT_domain:
-        objective = _objective(problem, nt)
-        A, floor = _linear_system(problem, nt)
-        rhs = floor + np.array([0.0, 0.0, 0.0, 0.0, _STRICT_MARGIN])
-        constraints = {"type": "ineq", "fun": lambda x, A=A, rhs=rhs: A @ x - rhs,
-                       "jac": lambda x, A=A: A}
-        empty = _provably_empty(A, floor, lo, hi)
-        for index in range(restarts):
-            rng = np.random.default_rng([seed, nt, index])
-            start = rng.uniform(lo, hi)
-            if empty:
-                point = tuple(float(v) for v in start)
-                records.append(RestartRecord(
-                    n_turns=nt, index=index, start=point, point=point, value=None, feasible=False,
-                ))
-                continue
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", message="Values in x were outside bounds"
-                )
-                result = minimize(
-                    objective,
-                    start,
-                    jac=True,
-                    method="SLSQP",
-                    bounds=bounds,
-                    constraints=constraints,
-                    options={"maxiter": 200, "ftol": 1e-12},
-                )
-            point = np.clip(result.x, lo, hi)
-            # A coordinate on an active bound carries arithmetic dust from
-            # the solver; snap it to the bound exactly.
-            for bound in (lo, hi):
-                near = np.abs(point - bound) <= 1e-9 * np.abs(bound)
-                point = np.where(near, bound, point)
-            candidate = (float(point[0]), float(point[1]), float(point[2]), float(point[3]), nt)
-            ok, d1, d2 = feasible(candidate, problem)
-            value = None
-            if ok:
-                value = float(inductance_from_dims(
-                    candidate[0], candidate[1], d1, d2, candidate[2], candidate[3],
-                    nt, problem.n_layers, problem.layer_gap,
-                    coefficients=problem.coefficients,
-                ))
-                if _better(value, candidate, best_value, best_point):
-                    best_value = value
-                    best_point = candidate
-            records.append(RestartRecord(
-                n_turns=nt,
-                index=index,
-                start=tuple(float(v) for v in start),
-                point=candidate[:4],
-                value=value,
-                feasible=ok,
-            ))
+    best_value = best_point = None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Values in x were outside bounds")
+        for nt in problem.NT_domain:
+            objective = _objective(problem, nt)
+            A, floor = _linear_system(problem, nt)
+            rhs = floor + np.array([0.0, 0.0, 0.0, 0.0, _STRICT_MARGIN])
+            constraints = {"type": "ineq", "fun": lambda x, A=A, rhs=rhs: A @ x - rhs,
+                           "jac": lambda x, A=A: A}
+            empty = _provably_empty(A, floor, lo, hi)
+            for index in range(restarts):
+                start = np.random.default_rng([seed, nt, index]).uniform(lo, hi)
+                x = start
+                if not empty:
+                    x = np.clip(minimize(objective, start, jac=True, method="SLSQP",
+                                         bounds=bounds, constraints=constraints,
+                                         options={"maxiter": 200, "ftol": 1e-12}).x, lo, hi)
+                    # A coordinate on an active bound carries arithmetic dust
+                    # from the solver; snap it to the bound exactly.
+                    for bound in (lo, hi):
+                        x = np.where(np.abs(x - bound) <= 1e-9 * np.abs(bound), bound, x)
+                point = (*x.tolist(), nt)
+                ok = not empty and feasible(point, problem)[0]
+                value = inductance(WindingGeometry(*point, problem.n_layers, problem.layer_gap),
+                                   problem.coefficients) if ok else None
+                if ok and _better(value, point, best_value, best_point):
+                    best_value, best_point = value, point
+                records.append(RestartRecord(nt, index, tuple(start.tolist()), point[:4],
+                                             value, ok))
     return _result(problem, best_point, records)
 
 

@@ -29,17 +29,19 @@ def json_field(name: str, value, kind: str):
     """A field read from a JSON document, checked to be of a kind.
 
     kind "number" returns the value as a float, "list" as a tuple, and
-    "object" and "string" as given.  Any other value raises ValueError
-    naming the field: null, strings and booleans (which Python counts as
-    ints) are no numbers, an integer too large for a float is out of
-    range, and only arrays are lists.
+    "integer", "object" and "string" as given.  Any other value raises
+    ValueError naming the field: null, strings and booleans (which Python
+    counts as ints) are no numbers, 8.0 is no integer, a number too large
+    for a float is out of range, and only arrays are lists.
     """
-    if kind == "number" and isinstance(value, numbers.Real) and not isinstance(value, bool):
+    numeric = {"number": numbers.Real, "integer": numbers.Integral}.get(kind)
+    if numeric and isinstance(value, numeric) and not isinstance(value, bool):
         try:
-            return float(value)
+            as_float = float(value)
         except OverflowError:
-            raise ValueError(f"{name} must be a JSON number in the float range, "
+            raise ValueError(f"{name} must be a JSON {kind} in the float range, "
                              f"got {value!r}") from None
+        return as_float if kind == "number" else value
     if kind == "list" and isinstance(value, (list, tuple)):
         return tuple(value)
     if kind == "object" and isinstance(value, Mapping):

@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from planarwind import (
     inductance,
     read_csv,
     read_geometry_csv,
+    synth_labels,
+    write_csv,
+    write_geometry_csv,
 )
 from planarwind.cli import build_parser, main
 
@@ -596,6 +600,9 @@ REPEATED = object()
     ("grid", "NT_values", REPEATED),
     ("estimate", "a1", REPEATED),
     ("optimize", "a1", REPEATED),
+    # So is a count that large, though counts are never converted to floats.
+    ("grid", "NT_values", [10 ** 400]),
+    ("optimize", "NT", [3, 10 ** 400]),
 ])
 def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, command, key, value):
     mapping = {
@@ -622,31 +629,51 @@ def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, 
     assert code == 3 and stdout == ""
     assert "error:" in err
     assert value is not REPEATED or f"error: JSON object repeats key '{key}'" in err
+    assert "float range" not in err or err.startswith(f"error: {key} must be a JSON ")
     assert not out.exists()
 
 
+# a1 = a2 = -150: each factor stays finite, and their product is inf.
+BIG_COEFFICIENTS = {**DEFAULT_COEFFICIENTS.to_mapping(), "a1": -150.0, "a2": -150.0}
+
+
 @pytest.mark.parametrize("command, flags", [
+    # O ** (a9 * (N_L - 1)) or a mean side ** a3 overflows as the model is evaluated.
     ("estimate", ["--D1", "100", "--D2", "100", "--w", "5", "--s", "1",
                   "--NT", "5", "--NL", "100000", "--O", "1.6"]),
     ("estimate", ["--D1", "1e300", "--D2", "1e300", "--w", "5", "--s", "1",
                   "--NT", "5", "--NL", "4", "--O", "1.6"]),
-    ("grid", ["--labels", "default"]),
-    ("optimize", ["--restarts", "1"]),
+    ("grid", ["--spec", "spec.json", "--labels", "default"]),
+    ("optimize", ["--problem", "problem.json", "--restarts", "1"]),
+    # The product of finite factors is inf: each command checks L, not the factors.
+    ("estimate", ["--D1", "10", "--D2", "10", "--w", "1", "--s", "0.5",
+                  "--NT", "2", "--NL", "1", "--coeffs", "big.json"]),
+    ("grid", ["--spec", "A", "--labels", "big.json"]),
+    ("synth", ["--in", "geometries.csv", "--coeffs", "big.json"]),
+    ("eval", ["--in", "samples.csv", "--coeffs", "big.json"]),
+    ("optimize", ["--problem", "big_problem.json"]),
+    ("optimize", ["--problem", "big_problem.json", "--oracle"]),
 ])
-def test_a_model_value_outside_the_float_range_exits_5(capsys, tmp_path, command, flags):
-    # O ** (a9 * (N_L - 1)) or a mean side ** a3 overflows as the model is evaluated.
-    problem = {**default_problem().to_mapping(), "NL": 10 ** 30}
-    (tmp_path / "problem.json").write_text(json.dumps(problem))
-    out = tmp_path / "out"
-    args = {
-        "estimate": ["--output", str(out)],
-        "grid": ["--spec", str(small_spec_file(tmp_path, NL_values=[100000])), "--out", str(out)],
-        "optimize": ["--problem", str(tmp_path / "problem.json"), "--out", str(out)],
-    }[command]
-    code, stdout, err = run(capsys, command, *flags, *args)
+@pytest.mark.filterwarnings("error")
+def test_a_model_value_outside_the_float_range_exits_5(capsys, tmp_path, monkeypatch,
+                                                       command, flags):
+    monkeypatch.chdir(tmp_path)
+    small_spec_file(tmp_path, NL_values=[100000])
+    Path("problem.json").write_text(json.dumps({**default_problem().to_mapping(), "NL": 10 ** 30}))
+    Path("big.json").write_text(json.dumps(BIG_COEFFICIENTS))
+    Path("big_problem.json").write_text(
+        json.dumps({**default_problem().to_mapping(), "coefficients": BIG_COEFFICIENTS})
+    )
+    geometries = generate_grid(dataset_a_spec())
+    write_geometry_csv(geometries, "geometries.csv")
+    write_csv(synth_labels(geometries, DEFAULT_COEFFICIENTS), "samples.csv")
+    out_flag = {"estimate": "--output", "eval": "--report"}.get(command, "--out")
+    code, stdout, err = run(capsys, command, *flags, out_flag, "out")
     assert code == 5 and stdout == ""
+    # One line and no traceback; the mark turns any NumPy warning into a failure.
+    assert len(err.splitlines()) == 1
     assert err.startswith("error: a model value is outside the float range: ")
-    assert not out.exists()
+    assert not Path("out").exists()
 
 
 class TestDeterminism:

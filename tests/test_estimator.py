@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from planarwind import (
     mohan_inductance,
     mohan_inductance_um,
 )
+from planarwind.estimator import require_finite
 from planarwind.units import mm_to_m
 
 # Reference windings with their model inductances, frozen from this
@@ -404,3 +406,54 @@ def test_from_dims_arrays_agree_with_scalars(geometries, coefficients):
     for value, g in zip(out, geometries):
         scalar = inductance(g, coefficients)
         assert abs(value - scalar) <= 1e-14 * scalar
+
+
+# a1 = a2 = -150: each factor stays finite, and their product is inf.
+_BIG = replace(DEFAULT_COEFFICIENTS, a1=-150.0, a2=-150.0)
+
+
+def test_a_model_value_outside_the_float_range_is_an_overflow():
+    g = WindingGeometry(0.01, 0.01, 0.001, 0.0005, 2, 1)
+    with pytest.raises(OverflowError, match=r"^L = inf H$"):
+        inductance(g, _BIG)
+    # w ** 150 underflows to 0.0, and inf * 0.0 is NaN.
+    with pytest.raises(OverflowError, match=r"^L = nan H$"):
+        inductance(g, replace(_BIG, a5=150.0))
+    with pytest.raises(OverflowError, match=r"^L = inf H$"):
+        inductance_square(0.01, 0.001, 0.0005, 2, 1, coefficients=_BIG)
+    # Every factor is finite; their product is not.
+    with pytest.raises(OverflowError, match=r"^L = inf H$"):
+        mohan_inductance(1e100, 5e99, 1.0, 1.0, 10 ** 170)
+    # An underflow to 0.0 is a valid value.
+    assert inductance(g, replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0)) == 0.0
+
+
+def test_require_finite_is_the_rule_for_floats_and_arrays():
+    values = np.array([1e-6, 0.0])
+    assert require_finite(values) is values
+    assert require_finite(0.0) == 0.0
+    with np.errstate(over="ignore"):
+        overflowed = np.array([1e-6, 1e300]) * 1e300
+    with pytest.raises(OverflowError, match=r"^L = inf H$"):
+        require_finite(overflowed)
+    with pytest.raises(OverflowError, match=r"^L = nan H$"):
+        require_finite(np.array([math.nan, math.inf]))
+    with pytest.raises(OverflowError, match=r"^L = nan H$"):
+        require_finite(math.nan)
+
+
+@given(
+    g=windings(),
+    coefficients=st.builds(
+        CoefficientSet,
+        a0=st.floats(0.1, 10.0),
+        **{f"a{i}": st.floats(-200.0, 200.0) for i in range(1, 10)},
+    ),
+)
+def test_inductance_is_a_finite_float_or_raises(g, coefficients):
+    # Exponents up to 200 put L far outside the float range both ways.
+    try:
+        L = inductance(g, coefficients)
+    except OverflowError:
+        return
+    assert type(L) is float and 0.0 <= L < math.inf

@@ -13,6 +13,7 @@ from planarwind import (
     CoefficientSet,
     InfeasibleProblemError,
     OptimizationProblem,
+    WindingGeometry,
     brute_force_max,
     default_problem,
     feasible,
@@ -196,10 +197,10 @@ class TestProblemMapping:
         ("NL", True),
     ])
     def test_mapping_rejects_non_integer_counts(self, key, value):
-        # Counts follow the WindingGeometry rule; nothing is truncated or coerced.
+        # Counts must be JSON integers; nothing is truncated or coerced.
         mapping = default_problem().to_mapping()
         mapping[key] = value
-        with pytest.raises(ValueError, match="NT_domain" if key == "NT" else "n_layers"):
+        with pytest.raises(ValueError, match=f"^{key} must be a JSON integer, got "):
             OptimizationProblem.from_mapping(mapping)
 
     @pytest.mark.parametrize("key, value", [
@@ -378,6 +379,26 @@ class TestMaximize:
         assert all(not r.feasible and r.value is None for r in result.restarts)
         with pytest.raises(InfeasibleProblemError):
             brute_force_max(tight)
+
+    def test_each_feasible_restart_is_scored_as_the_best_is(self):
+        # One scoring path: inductance() on the restart's winding, as _result scores the best.
+        p = default_problem()
+        result = maximize(p, restarts=3, seed=1)
+        feasible_records = [r for r in result.restarts if r.feasible]
+        assert feasible_records
+        for r in feasible_records:
+            g = WindingGeometry(*r.point, r.n_turns, p.n_layers, p.layer_gap)
+            assert type(r.value) is float and r.value == inductance(g, p.coefficients)
+        assert result.L_best == max(r.value for r in feasible_records)
+
+    def test_a_model_outside_the_float_range_is_an_overflow(self):
+        # a1 = a2 = -150: each factor stays finite, and their product is inf.
+        problem = replace(default_problem(),
+                          coefficients=replace(DEFAULT_COEFFICIENTS, a1=-150.0, a2=-150.0))
+        # Without the CLI's errstate, the objective's NumPy scalars would warn on the overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match=r"^L = inf H$"):
+                maximize(problem, restarts=1)
 
 
 class TestBruteForce:

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ def test_evaluate_agrees_with_per_sample_error(corpus):
         nl: sum(1 for e, n in zip(expected, layers) if n == nl and abs(e) > 5.0)
         for nl in set(layers)
     }
+
+
+def test_evaluate_checks_that_the_model_is_finite():
+    samples = fit_corpus()
+    # a1 = a2 = -150: each factor stays finite, and their product is inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match=r"^L = inf H$"):
+            evaluate(samples, replace(DEFAULT_COEFFICIENTS, a1=-150.0, a2=-150.0))
+    # a1 = a2 = 150 underflows to 0.0, which is a value: every error is 100%.
+    report = evaluate(samples, replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0))
+    assert (report.mean_error_pct, report.std_error_pct) == (100.0, 0.0)
 
 
 def test_design_matrix_names_the_first_bad_label():
