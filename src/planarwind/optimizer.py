@@ -8,19 +8,21 @@ The inner sides are substituted, never free variables: d_i = D_i
 - 2*N_T*(w + s) + 2*s turns their bounds into linear constraints on
 (D1, D2, w, s) once N_T is fixed.  The integer N_T is enumerated (the
 domain is small), and each (N_T, restart) pair runs a bound-constrained
-local maximizer from a seeded random start inside the box.  A grid-scan
-oracle provides an independent check of the same problem.
+local maximizer from a seeded random start inside the box; the pairs are
+independent, so they run in forked worker processes.  A grid-scan oracle
+provides an independent check of the same problem.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import fmin_slsqp
 
 from .estimator import DEFAULT_COEFFICIENTS, CoefficientSet, inductance, inductance_from_dims
 from .geometry import WindingGeometry, inner_side, is_integer
@@ -287,32 +289,33 @@ def _box(problem: OptimizationProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _objective(problem: OptimizationProblem, nt: int):
+    """The value and the exact gradient of -log10 L at x = (D1, D2, w, s)."""
     c = problem.coefficients
     # d(-log10 L) = -d(ln L) / ln 10.
     scale = -1.0 / math.log(10.0)
     dd_ds = -(2.0 * nt - 2.0)
 
-    def negative_log_inductance(x):
-        """Value and exact gradient of -log10 L at x = (D1, D2, w, s)."""
-        D1 = max(x[0], _TINY)
-        D2 = max(x[1], _TINY)
-        w = max(x[2], _TINY)
-        s = max(x[3], _TINY)
+    def clamped(x):
         # Clamps keep the value defined at infeasible iterates; the linear
         # d constraints pull the solver back regardless.
-        raw1 = inner_side(D1, nt, w, s)
-        raw2 = inner_side(D2, nt, w, s)
-        d1 = max(raw1, _TINY)
-        d2 = max(raw2, _TINY)
-        L = inductance_from_dims(
-            D1, D2, d1, d2, w, s, nt, problem.n_layers, problem.layer_gap, coefficients=c
-        )
+        D1, D2, w, s = (max(v, _TINY) for v in x)
+        return D1, D2, w, s, inner_side(D1, nt, w, s), inner_side(D2, nt, w, s)
+
+    def negative_log_inductance(x):
+        D1, D2, w, s, raw1, raw2 = clamped(x)
+        return -math.log10(inductance_from_dims(
+            D1, D2, max(raw1, _TINY), max(raw2, _TINY), w, s, nt,
+            problem.n_layers, problem.layer_gap, coefficients=c,
+        ))
+
+    def gradient(x):
+        D1, D2, w, s, raw1, raw2 = clamped(x)
         # ln L = a1 ln D1 + a2 ln D2 + a3 ln(D1 + d1) + a4 ln(D2 + d2)
         # + a5 ln w + a6 ln s + const, where d_i follows D_i, w and s
         # unless its clamp holds it at _TINY.  A clamped input has zero
         # derivative, and so has everything that reaches x through it.
-        m1 = c.a3 / (D1 + d1)
-        m2 = c.a4 / (D2 + d2)
+        m1 = c.a3 / (D1 + max(raw1, _TINY))
+        m2 = c.a4 / (D2 + max(raw2, _TINY))
         k1 = m1 if raw1 > _TINY else 0.0
         k2 = m2 if raw2 > _TINY else 0.0
         inner = k1 + k2
@@ -322,9 +325,9 @@ def _objective(problem: OptimizationProblem, nt: int):
             c.a5 / w - 2.0 * nt * inner if x[2] > _TINY else 0.0,
             c.a6 / s + dd_ds * inner if x[3] > _TINY else 0.0,
         ])
-        return -math.log10(L), scale * grad
+        return scale * grad
 
-    return negative_log_inductance
+    return negative_log_inductance, gradient
 
 
 def _linear_system(problem: OptimizationProblem, nt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -379,6 +382,49 @@ def _result(problem: OptimizationProblem, best_point, records) -> OptimizationRe
     )
 
 
+def _search(
+    problem: OptimizationProblem, nt: int, indices: range, seed: int
+) -> list[RestartRecord]:
+    """The restarts ``indices`` of turn count ``nt``, as records in index order.
+
+    Each restart draws its start from (seed, nt, index) alone, so a restart
+    gives the same record whichever search, process or order runs it.
+    """
+    lo, hi = _box(problem)
+    bounds = list(zip(lo, hi))
+    A, floor = _linear_system(problem, nt)
+    empty = _provably_empty(A, floor, lo, hi)
+    rhs = floor + np.array([0.0, 0.0, 0.0, 0.0, _STRICT_MARGIN])
+    objective, gradient = _objective(problem, nt)
+    records = []
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="Values in x were outside bounds")
+        for index in indices:
+            start = np.random.default_rng([seed, nt, index]).uniform(lo, hi)
+            x = start
+            if not empty:
+                x = np.clip(fmin_slsqp(objective, start, f_ieqcons=lambda x: A @ x - rhs,
+                                       fprime=gradient, fprime_ieqcons=lambda x: A,
+                                       bounds=bounds, iter=200, acc=1e-12, iprint=0), lo, hi)
+                # A coordinate on an active bound carries arithmetic dust
+                # from the solver; snap it to the bound exactly.
+                for bound in (lo, hi):
+                    x = np.where(np.abs(x - bound) <= 1e-9 * np.abs(bound), bound, x)
+            point = (*x.tolist(), nt)
+            ok = not empty and feasible(point, problem)[0]
+            value = inductance(WindingGeometry(*point, problem.n_layers, problem.layer_gap),
+                               problem.coefficients) if ok else None
+            records.append(RestartRecord(nt, index, tuple(start.tolist()), point[:4], value, ok))
+    return records
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def maximize(
     problem: OptimizationProblem, restarts: int = 100, seed: int = 0
 ) -> OptimizationResult:
@@ -404,6 +450,18 @@ def maximize(
     record per restart index, with the seeded start as its point, no value
     and feasible False, so restarts_run and the prefix property hold.
 
+    Where the restarts run: those of each N_T are split into one
+    contiguous run of indices per CPU this process may use
+    (``os.sched_getaffinity``), at most one run per restart, and the runs
+    go to forked worker processes, one per CPU but no more than there are
+    runs.  The workers end before this returns.  With one CPU, or on a
+    platform without ``fork``, the runs go in order in this process.
+    Either way the records come back in (N_T, index) order and the result
+    is the same, byte for byte.  An error in a worker, such as the
+    OverflowError above, is raised here with its own type and message.
+    Python 3.12 and later emit a DeprecationWarning when they fork a
+    process that has threads.
+
     Returns a result with feasible_found False if no restart produced a
     feasible point.
     """
@@ -411,38 +469,29 @@ def maximize(
         raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     if not (is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    lo, hi = _box(problem)
-    bounds = list(zip(lo, hi))
-    records = []
+    restarts = int(restarts)
+    cpus = _cpus()
+    parts = min(cpus, restarts)
+    searches = [(problem, nt, range(restarts * k // parts, restarts * (k + 1) // parts), seed)
+                for nt in problem.NT_domain for k in range(parts)]
+    found = map(_search, *zip(*searches))
+    workers = min(cpus, len(searches))
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                found = list(pool.map(_search, *zip(*searches)))
+            finally:
+                # Joins every worker; after an error, searches not yet started never run.
+                pool.shutdown(cancel_futures=True)
+    records = [record for part in found for record in part]
     best_value = best_point = None
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="Values in x were outside bounds")
-        for nt in problem.NT_domain:
-            objective = _objective(problem, nt)
-            A, floor = _linear_system(problem, nt)
-            rhs = floor + np.array([0.0, 0.0, 0.0, 0.0, _STRICT_MARGIN])
-            constraints = {"type": "ineq", "fun": lambda x, A=A, rhs=rhs: A @ x - rhs,
-                           "jac": lambda x, A=A: A}
-            empty = _provably_empty(A, floor, lo, hi)
-            for index in range(restarts):
-                start = np.random.default_rng([seed, nt, index]).uniform(lo, hi)
-                x = start
-                if not empty:
-                    x = np.clip(minimize(objective, start, jac=True, method="SLSQP",
-                                         bounds=bounds, constraints=constraints,
-                                         options={"maxiter": 200, "ftol": 1e-12}).x, lo, hi)
-                    # A coordinate on an active bound carries arithmetic dust
-                    # from the solver; snap it to the bound exactly.
-                    for bound in (lo, hi):
-                        x = np.where(np.abs(x - bound) <= 1e-9 * np.abs(bound), bound, x)
-                point = (*x.tolist(), nt)
-                ok = not empty and feasible(point, problem)[0]
-                value = inductance(WindingGeometry(*point, problem.n_layers, problem.layer_gap),
-                                   problem.coefficients) if ok else None
-                if ok and _better(value, point, best_value, best_point):
-                    best_value, best_point = value, point
-                records.append(RestartRecord(nt, index, tuple(start.tolist()), point[:4],
-                                             value, ok))
+    for r in records:
+        point = (*r.point, r.n_turns)
+        if r.feasible and _better(r.value, point, best_value, best_point):
+            best_value, best_point = r.value, point
     return _result(problem, best_point, records)
 
 

@@ -1,10 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import planarwind
 from planarwind import (
     DEFAULT_COEFFICIENTS,
     CoefficientSet,
@@ -674,6 +678,39 @@ def test_a_model_value_outside_the_float_range_exits_5(capsys, tmp_path, monkeyp
     assert len(err.splitlines()) == 1
     assert err.startswith("error: a model value is outside the float range: ")
     assert not Path("out").exists()
+
+
+def run_python(code, cwd=None):
+    """Run ``code`` in a fresh interpreter under -W error; returns (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(planarwind.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_importing_the_cli_leaves_the_worker_pool_unloaded():
+    # maximize imports its process pool when it runs; start-up pays nothing for it.
+    code, out, err = run_python(
+        "import sys, planarwind.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    assert (code, out, err) == (0, "[]\n", "")
+
+
+def test_an_overflow_in_a_worker_exits_5_with_one_line(tmp_path):
+    # Three CPUs, so the restarts run in forked workers on any host.
+    Path(tmp_path, "big_problem.json").write_text(
+        json.dumps({**default_problem().to_mapping(), "coefficients": BIG_COEFFICIENTS})
+    )
+    code, out, err = run_python(
+        "import sys, planarwind.optimizer as optimizer; from planarwind.cli import main; "
+        "optimizer._cpus = lambda: 3; "
+        "sys.exit(main(['optimize', '--problem', 'big_problem.json', '--out', 'out']))",
+        cwd=tmp_path,
+    )
+    assert code == 5 and out == ""
+    assert err == "error: a model value is outside the float range: L = inf H\n"
+    assert not Path(tmp_path, "out").exists()
 
 
 class TestDeterminism:

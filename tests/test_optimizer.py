@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -11,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from planarwind import (
     DEFAULT_COEFFICIENTS,
     CoefficientSet,
+    MOHAN_COEFFICIENTS,
     InfeasibleProblemError,
     OptimizationProblem,
     WindingGeometry,
@@ -55,6 +58,20 @@ def small_problem(**overrides):
     )
     kwargs.update(overrides)
     return OptimizationProblem(**kwargs)
+
+
+def _forks(monkeypatch, cpus):
+    """Make maximize see ``cpus`` CPUs; returns the list of forks made from here on."""
+    monkeypatch.setattr("planarwind.optimizer._cpus", lambda: cpus)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 class TestProblemValidation:
@@ -391,14 +408,65 @@ class TestMaximize:
             assert type(r.value) is float and r.value == inductance(g, p.coefficients)
         assert result.L_best == max(r.value for r in feasible_records)
 
-    def test_a_model_outside_the_float_range_is_an_overflow(self):
+    # With three CPUs the error comes from a worker, and is raised as it is in process.
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_a_model_outside_the_float_range_is_an_overflow(self, monkeypatch, cpus):
+        forks = _forks(monkeypatch, cpus)
         # a1 = a2 = -150: each factor stays finite, and their product is inf.
         problem = replace(default_problem(),
                           coefficients=replace(DEFAULT_COEFFICIENTS, a1=-150.0, a2=-150.0))
         # Without the CLI's errstate, the objective's NumPy scalars would warn on the overflow.
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(OverflowError, match=r"^L = inf H$"):
-                maximize(problem, restarts=1)
+            with pytest.raises(OverflowError, match=r"^L = inf H$") as caught:
+                maximize(problem, restarts=100)
+        assert caught.type is OverflowError
+        assert len(forks) == (0 if cpus == 1 else 3)
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkers:
+    # Three CPUs put the pool in place on any host; one forces the in-process path.
+    @pytest.mark.parametrize("problem, seed", [
+        (default_problem(), 0),
+        (default_problem(), 1),
+        (default_problem(), 1001),
+        (replace(default_problem(), n_layers=1, layer_gap=None), 0),
+        (replace(default_problem(), coefficients=MOHAN_COEFFICIENTS), 0),
+    ])
+    def test_pooled_and_in_process_results_are_identical(self, monkeypatch, problem, seed):
+        forks = _forks(monkeypatch, 3)
+        pooled = maximize(problem, restarts=100, seed=seed).to_mapping()
+        assert len(forks) == 3
+        monkeypatch.setattr("planarwind.optimizer._cpus", lambda: 1)
+        in_process = maximize(problem, restarts=100, seed=seed).to_mapping()
+        assert len(forks) == 3
+        assert json.dumps(pooled) == json.dumps(in_process)
+
+    @pytest.mark.parametrize("cpus, problem, restarts, expected", [
+        (1, default_problem(), 2, 0),
+        # One search per N_T and CPU, at most one per restart.
+        (3, default_problem(), 2, 3),
+        (3, small_problem(), 1, 0),
+        (3, small_problem(), 2, 2),
+    ])
+    def test_one_worker_per_cpu_capped_at_the_number_of_searches(
+        self, monkeypatch, cpus, problem, restarts, expected
+    ):
+        forks = _forks(monkeypatch, cpus)
+        result = maximize(problem, restarts=restarts, seed=0)
+        assert len(forks) == expected
+        assert multiprocessing.active_children() == []
+        assert [(r.n_turns, r.index) for r in result.restarts] == [
+            (nt, index) for nt in problem.NT_domain for index in range(restarts)
+        ]
+
+    def test_without_fork_the_searches_run_in_process(self, monkeypatch):
+        forks = _forks(monkeypatch, 3)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        result = maximize(default_problem(), restarts=5, seed=0)
+        assert forks == []
+        monkeypatch.setattr("planarwind.optimizer._cpus", lambda: 1)
+        assert result.to_mapping() == maximize(default_problem(), restarts=5, seed=0).to_mapping()
 
 
 class TestBruteForce:
@@ -501,7 +569,7 @@ class TestResultSerialization:
 
 def _parent_objective(problem, nt, x):
     # The objective value as computed before gradients were added; the
-    # value half of _objective must reproduce it bit for bit.
+    # value function of _objective must reproduce it bit for bit.
     D1 = max(x[0], _TINY)
     D2 = max(x[1], _TINY)
     w = max(x[2], _TINY)
@@ -546,13 +614,13 @@ def test_objective_gradient_matches_central_differences(coefficients, nt, n_laye
     assume(all(v <= _TINY - 1e-6 or v >= 1e-4 for v in x))
     assume(all(abs(v - _TINY) > 1e-6 for v in raws))
 
-    objective = _objective(problem, nt)
-    value, grad = objective(x)
-    assert value == _parent_objective(problem, nt, x)
+    objective, gradient = _objective(problem, nt)
+    grad = gradient(x)
+    assert objective(x) == _parent_objective(problem, nt, x)
     for i in range(4):
         step = np.zeros(4)
         step[i] = h
-        central = (objective(x + step)[0] - objective(x - step)[0]) / (2.0 * h)
+        central = (objective(x + step) - objective(x - step)) / (2.0 * h)
         assert grad[i] == pytest.approx(central, rel=1e-6, abs=1e-5)
         if x[i] <= _TINY:
             assert grad[i] == 0.0
