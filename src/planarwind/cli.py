@@ -265,18 +265,19 @@ def _cmd_optimize(args) -> int:
             steps = oracle_steps(problem, resolution)
         except ValueError as exc:
             raise UsageError(f"bad --resolution (steps in mm): {exc}") from None
+    # Both searches run, and the JSON is written, before anything is printed.
     result = maximize(problem, restarts=args.restarts, seed=args.seed)
     mapping = result.to_mapping()
     if result.feasible_found:
         best = mapping["best"]
-        print(
+        lines = [
             f"best L = {mapping['L_best_uH']:.2f} uH at "
             f"D1 = {best['D1_mm']:.4f} mm, D2 = {best['D2_mm']:.4f} mm, "
             f"w = {best['w_mm']:.4f} mm, s = {best['s_mm']:.4f} mm, "
             f"N_T = {best['N_T']} ({result.restarts_run} restarts)"
-        )
+        ]
     else:
-        print(f"no feasible point found in {result.restarts_run} restarts")
+        lines = [f"no feasible point found in {result.restarts_run} restarts"]
     if args.oracle and result.feasible_found:
         oracle = brute_force_max(problem, steps)
         oracle_mapping = oracle.to_mapping()
@@ -285,13 +286,14 @@ def _cmd_optimize(args) -> int:
         mapping["oracle"] = oracle_mapping
         agreement = (result.L_best - oracle.L_best) / oracle.L_best * 100.0
         mapping["oracle_agreement_pct"] = agreement
-        print(
+        lines.append(
             f"oracle L = {oracle_mapping['L_best_uH']:.2f} uH, "
             f"optimizer ahead by {agreement:.4f}%"
         )
     elif args.oracle:
-        print("skipping the oracle, nothing to compare against")
+        lines.append("skipping the oracle, nothing to compare against")
     _write_json(args.out, mapping)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -399,7 +401,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        # A non-finite model value is reported by its check, not by NumPy warnings.
+        # A model value outside (0, inf) is reported by its check, not by NumPy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except UsageError as exc:

@@ -16,7 +16,8 @@ Model variants are coefficient sets on it: :data:`SIMPLIFIED_COEFFICIENTS`
 and :data:`MOHAN_COEFFICIENTS`.  Only :func:`mohan_inductance_um`, the
 independent check of the unit conversion, keeps its own formula.
 
-All inputs are SI (meters), all results are henries, finite by :func:`require_finite`.
+All inputs are SI (meters), all results are henries, in (0, inf) by
+:func:`require_in_range`.
 """
 
 from __future__ import annotations
@@ -147,13 +148,16 @@ def inductance_from_dims(
     return value
 
 
-def require_finite(L):
-    """L, a model value or an array of them; OverflowError if one is inf or NaN.
+def require_in_range(L):
+    """L, a model value or an array of them; OverflowError unless each is in (0, inf).
 
     The one statement of a model value's float range, which fitted or given
-    exponents can leave well before the winding is absurd.  0.0 is a value.
+    exponents can leave well before the winding is absurd.  The model is a
+    monomial fitted and maximized on log10 L, so an underflow to 0.0 is no
+    value, as inf is not; NaN fails the comparison.
     """
-    bad = np.asarray(L)[~np.isfinite(L)]
+    values = np.asarray(L)
+    bad = values[~((0.0 < values) & (values < math.inf))]
     if bad.size:
         raise OverflowError(f"L = {bad[0]} H")
     return L
@@ -163,14 +167,14 @@ def inductance(
     geometry: WindingGeometry,
     coefficients: CoefficientSet = DEFAULT_COEFFICIENTS,
 ) -> float:
-    """Inductance of a multilayer rectangular planar winding, in henries, finite."""
+    """Inductance of a multilayer rectangular planar winding, in henries, in (0, inf)."""
     g = geometry
     value = inductance_from_dims(
         g.D1, g.D2, g.d1, g.d2, g.w, g.s, g.n_turns, g.n_layers, g.layer_gap,
         coefficients=coefficients,
     )
-    # require_finite's rule inline: a NumPy call per winding costs more than the model.
-    return value if math.isfinite(value) else require_finite(value)
+    # require_in_range's rule inline: a NumPy call per winding costs more than the model.
+    return value if 0.0 < value < math.inf else require_in_range(value)
 
 
 def inductance_square(
@@ -216,11 +220,11 @@ def mohan_inductance(D: float, d: float, w: float, s: float, n_turns: int) -> fl
         L = 1.5428 * mu0 * D^-1.21 * ((D + d) / 2)^2.4
             * w^-0.147 * s^-0.03 * N^1.78
 
-    Returns henries, finite by :func:`require_finite`.
+    Returns henries, in (0, inf) by :func:`require_in_range`.
     """
     _check_mohan_inputs(D, d, w, s, n_turns)
     L = inductance_from_dims(D, D, d, d, w, s, n_turns, 1, coefficients=MOHAN_COEFFICIENTS)
-    return require_finite(L)
+    return require_in_range(L)
 
 
 def mohan_inductance_um(

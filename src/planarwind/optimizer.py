@@ -253,9 +253,15 @@ class OptimizationResult:
 
     best: Optional[WindingGeometry]
     L_best: Optional[float]
-    restarts_run: int
-    feasible_found: bool
     restarts: tuple[RestartRecord, ...]
+
+    @property
+    def restarts_run(self) -> int:
+        return len(self.restarts)
+
+    @property
+    def feasible_found(self) -> bool:
+        return self.best is not None
 
     def to_mapping(self) -> dict:
         best = None
@@ -303,10 +309,13 @@ def _objective(problem: OptimizationProblem, nt: int):
 
     def negative_log_inductance(x):
         D1, D2, w, s, raw1, raw2 = clamped(x)
-        return -math.log10(inductance_from_dims(
+        L = inductance_from_dims(
             D1, D2, max(raw1, _TINY), max(raw2, _TINY), w, s, nt,
             problem.n_layers, problem.layer_gap, coefficients=c,
-        ))
+        )
+        # An underflow is +inf, as an overflow is -inf, so no iterate stops the
+        # search; the range rule applies where a value is reported.
+        return -math.log10(L) if L != 0.0 else math.inf
 
     def gradient(x):
         D1, D2, w, s, raw1, raw2 = clamped(x)
@@ -376,24 +385,23 @@ def _result(problem: OptimizationProblem, best_point, records) -> OptimizationRe
     return OptimizationResult(
         best=best,
         L_best=inductance(best, problem.coefficients) if best is not None else None,
-        restarts_run=len(records),
-        feasible_found=best is not None,
         restarts=tuple(records),
     )
 
 
 def _search(
-    problem: OptimizationProblem, nt: int, indices: range, seed: int
+    problem: OptimizationProblem, nt: int, indices: range, seed: int, empty: bool
 ) -> list[RestartRecord]:
     """The restarts ``indices`` of turn count ``nt``, as records in index order.
 
     Each restart draws its start from (seed, nt, index) alone, so a restart
-    gives the same record whichever search, process or order runs it.
+    gives the same record whichever search, process or order runs it.  With
+    ``empty``, the verdict of :func:`_provably_empty` on ``nt``, no restart
+    runs SLSQP.
     """
     lo, hi = _box(problem)
     bounds = list(zip(lo, hi))
     A, floor = _linear_system(problem, nt)
-    empty = _provably_empty(A, floor, lo, hi)
     rhs = floor + np.array([0.0, 0.0, 0.0, 0.0, _STRICT_MARGIN])
     objective, gradient = _objective(problem, nt)
     records = []
@@ -436,13 +444,14 @@ def maximize(
     k restarts of a longer run equal a k-restart run.  Converged points
     are clipped to the box and checked exactly for feasibility.  A
     feasible one is scored as the best is, by :func:`inductance` on its
-    :class:`WindingGeometry`, so an L outside the float range raises
-    OverflowError; the scores reduce to an incumbent in a fixed order with
-    a lexicographic tie-break, so the outcome does not depend on
-    evaluation order.
+    :class:`WindingGeometry`, so an L outside (0, inf), an underflow to
+    0.0 included, raises OverflowError; the scores reduce to an incumbent
+    in a fixed order with a lexicographic tie-break, so the outcome does
+    not depend on evaluation order.
 
     SLSQP gets exact derivatives: the gradient of -log10 L in closed form
-    (zero in any coordinate a _TINY clamp holds), and the constant matrix
+    (zero in any coordinate a _TINY clamp holds; at an iterate where L
+    underflows to 0.0 the value is +inf), and the constant matrix
     of the linear constraints A x >= b on the inner sides and D1 < D2.
     Before its restarts, an N_T is skipped when some row of A x >= b
     misses its floor everywhere in the box, which proves that no point
@@ -452,12 +461,17 @@ def maximize(
 
     Where the restarts run: those of each N_T are split into one
     contiguous run of indices per CPU this process may use
-    (``os.sched_getaffinity``), at most one run per restart, and the runs
-    go to forked worker processes, one per CPU but no more than there are
-    runs.  The workers end before this returns.  With one CPU, or on a
-    platform without ``fork``, the runs go in order in this process.
-    Either way the records come back in (N_T, index) order and the result
-    is the same, byte for byte.  An error in a worker, such as the
+    (``os.sched_getaffinity``), at most one run per restart.  The skip
+    verdicts are taken here, once per N_T, and the runs go to forked
+    worker processes, one per CPU but no more than there are runs of an
+    N_T that is not skipped.  The workers end before this returns.  With
+    one CPU, with at most one such run, or on a platform without ``fork``,
+    the runs go in order in this process.  Either way the records come
+    back in (N_T, index) order and the result is the same, byte for byte,
+    at a given BLAS thread count: SLSQP's linear algebra can end a restart
+    at another point with one OpenBLAS thread than with two, and OpenBLAS
+    takes its thread count from the CPUs this process may use unless
+    ``OPENBLAS_NUM_THREADS`` sets it.  An error in a worker, such as the
     OverflowError above, is raised here with its own type and message.
     Python 3.12 and later emit a DeprecationWarning when they fork a
     process that has threads.
@@ -472,10 +486,13 @@ def maximize(
     restarts = int(restarts)
     cpus = _cpus()
     parts = min(cpus, restarts)
-    searches = [(problem, nt, range(restarts * k // parts, restarts * (k + 1) // parts), seed)
-                for nt in problem.NT_domain for k in range(parts)]
+    lo, hi = _box(problem)
+    empty = {nt: _provably_empty(*_linear_system(problem, nt), lo, hi) for nt in problem.NT_domain}
+    searches = [(problem, nt, range(restarts * k // parts, restarts * (k + 1) // parts), seed,
+                 empty[nt]) for nt in problem.NT_domain for k in range(parts)]
     found = map(_search, *zip(*searches))
-    workers = min(cpus, len(searches))
+    # Only the runs of an N_T that is not skipped are worth a worker.
+    workers = min(cpus, parts * sum(not skip for skip in empty.values()))
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
@@ -536,7 +553,8 @@ def brute_force_max(
     Raises:
         ValueError: if resolution breaks the rule of :func:`oracle_steps`.
         InfeasibleProblemError: if no grid point is feasible.
-        OverflowError: if L at a feasible grid point is not finite.
+        OverflowError: if L at a feasible grid point is not finite, or if
+            the best L is not in (0, inf), as :func:`inductance` decides.
     """
     steps = oracle_steps(problem, resolution)
     b = problem.bounds

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Sample, split_train_eval
-from .estimator import COEFFICIENT_NAMES, MU0, CoefficientSet, inductance, require_finite
+from .estimator import COEFFICIENT_NAMES, MU0, CoefficientSet, inductance, require_in_range
 from .estimator import inductance_from_dims
 from .geometry import is_integer, mean_side
 
@@ -215,7 +215,7 @@ def evaluate(
     threshold_pct: float = 5.0,
     bin_width_pct: float = 0.5,
 ) -> FitReport:
-    """Error statistics of a coefficient set on labeled windings, whose L must be finite."""
+    """Error statistics of a coefficient set on labeled windings; model L must be in (0, inf)."""
     if len(samples) == 0:
         raise ValueError("no samples to evaluate")
     _check_report_settings(threshold_pct, bin_width_pct)
@@ -234,7 +234,7 @@ def evaluate(
             *(column[rows] for column in columns), nl,
             gaps[rows] if nl > 1 else None, coefficients=coefficients,
         )
-    require_finite(L_model)
+    require_in_range(L_model)
     L_ref = np.array(c.L_ref)
     errors = (L_ref - L_model) / L_ref * 100.0
     exceedance = {

@@ -497,6 +497,27 @@ class TestOptimize:
         mapping = json.loads(out_json.read_text())
         assert mapping["best"] is None and "oracle" not in mapping
 
+    @pytest.mark.parametrize("problem, out, code, message", [
+        # maximize finds a point, and the oracle's 0.5 mm D grid has none in this box.
+        ({"D1": [30, 30.2], "D2": [60, 60.2], "d1": [13.9, 14.5], "d2": [40, 50],
+          "w": [2.5, 2.59], "s": [0.1, 0.19], "NT": [3], "NL": 1},
+         "opt.json", 4, "error: no feasible grid point in the box at this resolution\n"),
+        # Both searches succeed, and the result cannot be written.
+        (None, "missing/opt.json", 3, "error: [Errno 2] No such file or directory: "),
+    ])
+    def test_nothing_is_printed_before_both_searches_and_the_write(
+        self, capsys, tmp_path, monkeypatch, problem, out, code, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        if problem is not None:
+            Path("problem.json").write_text(json.dumps(problem))
+        got, stdout, err = run(capsys, "optimize", "--oracle", "--restarts", "100",
+                               "--problem", "default" if problem is None else "problem.json",
+                               "--out", out)
+        assert (got, stdout) == (code, "")
+        assert err.startswith(message)
+        assert not Path(out).exists()
+
     def test_malformed_problem_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -639,6 +660,8 @@ def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, 
 
 # a1 = a2 = -150: each factor stays finite, and their product is inf.
 BIG_COEFFICIENTS = {**DEFAULT_COEFFICIENTS.to_mapping(), "a1": -150.0, "a2": -150.0}
+# a1 = a2 = 150: on windings of centimeters the product underflows to 0.0.
+SMALL_COEFFICIENTS = {**DEFAULT_COEFFICIENTS.to_mapping(), "a1": 150.0, "a2": 150.0}
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -657,6 +680,14 @@ BIG_COEFFICIENTS = {**DEFAULT_COEFFICIENTS.to_mapping(), "a1": -150.0, "a2": -15
     ("eval", ["--in", "samples.csv", "--coeffs", "big.json"]),
     ("optimize", ["--problem", "big_problem.json"]),
     ("optimize", ["--problem", "big_problem.json", "--oracle"]),
+    # An underflow to 0.0 is outside the range too, wherever the model is evaluated.
+    ("estimate", ["--D1", "10", "--D2", "10", "--w", "1", "--s", "0.5",
+                  "--NT", "2", "--NL", "1", "--coeffs", "small.json"]),
+    ("grid", ["--spec", "A", "--labels", "small.json"]),
+    ("eval", ["--in", "samples.csv", "--coeffs", "small.json"]),
+    # SLSQP spends its 200 iterations at -log10 L = +inf, so two restarts, not 100.
+    ("optimize", ["--problem", "small_problem.json", "--restarts", "2"]),
+    ("optimize", ["--problem", "small_problem.json", "--restarts", "2", "--oracle"]),
 ])
 @pytest.mark.filterwarnings("error")
 def test_a_model_value_outside_the_float_range_exits_5(capsys, tmp_path, monkeypatch,
@@ -664,10 +695,11 @@ def test_a_model_value_outside_the_float_range_exits_5(capsys, tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     small_spec_file(tmp_path, NL_values=[100000])
     Path("problem.json").write_text(json.dumps({**default_problem().to_mapping(), "NL": 10 ** 30}))
-    Path("big.json").write_text(json.dumps(BIG_COEFFICIENTS))
-    Path("big_problem.json").write_text(
-        json.dumps({**default_problem().to_mapping(), "coefficients": BIG_COEFFICIENTS})
-    )
+    for name, coefficients in (("big", BIG_COEFFICIENTS), ("small", SMALL_COEFFICIENTS)):
+        Path(f"{name}.json").write_text(json.dumps(coefficients))
+        Path(f"{name}_problem.json").write_text(
+            json.dumps({**default_problem().to_mapping(), "coefficients": coefficients})
+        )
     geometries = generate_grid(dataset_a_spec())
     write_geometry_csv(geometries, "geometries.csv")
     write_csv(synth_labels(geometries, DEFAULT_COEFFICIENTS), "samples.csv")
@@ -677,6 +709,7 @@ def test_a_model_value_outside_the_float_range_exits_5(capsys, tmp_path, monkeyp
     # One line and no traceback; the mark turns any NumPy warning into a failure.
     assert len(err.splitlines()) == 1
     assert err.startswith("error: a model value is outside the float range: ")
+    assert "small" not in "".join(flags) or err.endswith(": L = 0.0 H\n")
     assert not Path("out").exists()
 
 

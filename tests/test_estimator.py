@@ -26,7 +26,7 @@ from planarwind import (
     mohan_inductance,
     mohan_inductance_um,
 )
-from planarwind.estimator import require_finite
+from planarwind.estimator import require_in_range
 from planarwind.units import mm_to_m
 
 # Reference windings with their model inductances, frozen from this
@@ -424,22 +424,28 @@ def test_a_model_value_outside_the_float_range_is_an_overflow():
     # Every factor is finite; their product is not.
     with pytest.raises(OverflowError, match=r"^L = inf H$"):
         mohan_inductance(1e100, 5e99, 1.0, 1.0, 10 ** 170)
-    # An underflow to 0.0 is a valid value.
-    assert inductance(g, replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0)) == 0.0
+    # An underflow to 0.0 is outside the range as well: log10 L has no value there.
+    with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
+        inductance(g, replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0))
 
 
-def test_require_finite_is_the_rule_for_floats_and_arrays():
-    values = np.array([1e-6, 0.0])
-    assert require_finite(values) is values
-    assert require_finite(0.0) == 0.0
+def test_require_in_range_is_the_rule_for_floats_and_arrays():
+    values = np.array([1e-6, 5e-324])
+    assert require_in_range(values) is values
+    assert require_in_range(5e-324) == 5e-324
     with np.errstate(over="ignore"):
         overflowed = np.array([1e-6, 1e300]) * 1e300
     with pytest.raises(OverflowError, match=r"^L = inf H$"):
-        require_finite(overflowed)
+        require_in_range(overflowed)
     with pytest.raises(OverflowError, match=r"^L = nan H$"):
-        require_finite(np.array([math.nan, math.inf]))
+        require_in_range(np.array([math.nan, math.inf]))
     with pytest.raises(OverflowError, match=r"^L = nan H$"):
-        require_finite(math.nan)
+        require_in_range(math.nan)
+    # 0.0 is outside (0, inf), as a float and inside an array.
+    with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
+        require_in_range(0.0)
+    with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
+        require_in_range(np.array([1e-6, 0.0, math.inf]))
 
 
 @given(
@@ -456,4 +462,4 @@ def test_inductance_is_a_finite_float_or_raises(g, coefficients):
         L = inductance(g, coefficients)
     except OverflowError:
         return
-    assert type(L) is float and 0.0 <= L < math.inf
+    assert type(L) is float and 0.0 < L < math.inf

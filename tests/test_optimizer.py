@@ -448,6 +448,11 @@ class TestWorkers:
         (3, default_problem(), 2, 3),
         (3, small_problem(), 1, 0),
         (3, small_problem(), 2, 2),
+        # N_T 9 and 10 are skipped (test_restart_accounting checks their
+        # records), so only N_T 8's searches count for workers.
+        (3, replace(default_problem(), NT_domain=(8, 9, 10)), 1, 0),
+        (3, replace(default_problem(), NT_domain=(8, 9, 10)), 2, 2),
+        (3, replace(default_problem(), NT_domain=(9, 10)), 100, 0),
     ])
     def test_one_worker_per_cpu_capped_at_the_number_of_searches(
         self, monkeypatch, cpus, problem, restarts, expected
@@ -470,6 +475,17 @@ class TestWorkers:
 
 
 class TestBruteForce:
+    def test_a_best_that_underflows_to_0_is_an_overflow(self):
+        # a1 = a2 = 150: every L in the default box underflows to 0.0, which
+        # is no model value, for the oracle as for maximize.
+        problem = replace(default_problem(), coefficients=replace(
+            DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0,
+        ))
+        with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
+            brute_force_max(problem)
+        with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
+            maximize(problem, restarts=2)
+
     def test_agrees_with_local_search(self):
         resolution = {"D1": 1.0e-3, "D2": 1.0e-3, "w": 0.5e-3, "s": 0.3e-3}
         oracle = brute_force_max(default_problem(), resolution)
@@ -624,6 +640,18 @@ def test_objective_gradient_matches_central_differences(coefficients, nt, n_laye
         assert grad[i] == pytest.approx(central, rel=1e-6, abs=1e-5)
         if x[i] <= _TINY:
             assert grad[i] == 0.0
+
+
+@pytest.mark.parametrize("exponent, value", [(150.0, math.inf), (-150.0, -math.inf)])
+def test_objective_is_infinite_where_the_kernel_leaves_the_float_range(exponent, value):
+    # D1 ** 150 * D2 ** 150 underflows to 0.0 and D1 ** -150 * D2 ** -150
+    # overflows: -log10 L is +inf and -inf, and neither raises mid-search.
+    problem = replace(default_problem(), coefficients=replace(
+        DEFAULT_COEFFICIENTS, a1=exponent, a2=exponent,
+    ))
+    x = np.array([mm_to_m(30.0), mm_to_m(60.0), mm_to_m(3.0), mm_to_m(0.2)])
+    with np.errstate(over="ignore"):
+        assert _objective(problem, 3)[0](x) == value
 
 
 @given(
@@ -860,21 +888,43 @@ def test_factored_oracle_matches_the_dense_reference(bounds, NT, NL, gap, coeffi
         assert result.to_mapping() == reference.to_mapping()
 
 
-def test_oracle_reads_feasibility_from_the_masks_when_every_product_underflows():
+def _underflowed_pick(monkeypatch, problem):
+    """The point brute_force_max picks on ``problem``, whose L there underflows to 0.0.
+
+    The pick is scored by _result, which raises for it as it does for any
+    model value outside (0, inf).
+    """
+    picks = []
+
+    def spy(problem, best_point, records):
+        picks.append(best_point)
+        return _result(problem, best_point, records)
+
+    monkeypatch.setattr("planarwind.optimizer._result", spy)
+    with pytest.raises(OverflowError, match=r"^L = 0\.0 H$") as caught:
+        brute_force_max(problem, _ORACLE_STEPS)
+    # Not a GeometryError from an infeasible pick, and not the grid's own
+    # check, which a NaN from -inf * 0.0 would trip.
+    assert caught.type is OverflowError
+    # The reference reaches the same verdict.
+    with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
+        _parent_brute_force_max(problem, _ORACLE_STEPS)
+    assert len(picks) == 1
+    return picks[0]
+
+
+def test_oracle_reads_feasibility_from_the_masks_when_every_product_underflows(monkeypatch):
     # With exponents of 150 every product is 0.0, so the argmax is the first
     # grid point, D1 = D2 = 30 mm, which D1 < D2 excludes.  The first
-    # feasible point is the answer, as in the reference.
+    # feasible point is the pick, as in the reference.
     bounds = dict(small_problem().bounds, D1=(0.03, 0.04), D2=(0.03, 0.04))
     coefficients = replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0)
     problem = small_problem(bounds=bounds, coefficients=coefficients)
-    result = brute_force_max(problem, _ORACLE_STEPS)
-    assert result.L_best == 0.0
-    assert result == _parent_brute_force_max(problem, _ORACLE_STEPS)
-    assert (result.best.D1, result.best.D2) == (0.03, 0.031)
+    assert _underflowed_pick(monkeypatch, problem) == (0.03, 0.031, 0.001, 0.0001, 5)
 
 
 @pytest.mark.parametrize("exponent", ["a1", "a2"])
-def test_a_side_factor_of_0_is_still_feasible(exponent):
+def test_a_side_factor_of_0_is_still_feasible(monkeypatch, exponent):
     # An exponent of 300 on D1 or D2 makes that side's factor 0.0 everywhere.
     # d1 clears its 20 mm floor only from D1 = 31 mm, so D1 = 30 mm must not
     # win the tie at 0, and the 31 mm D2, with no feasible D1 below it, must
@@ -882,10 +932,7 @@ def test_a_side_factor_of_0_is_still_feasible(exponent):
     bounds = dict(small_problem().bounds, D1=(0.03, 0.04), D2=(0.03, 0.04), d1=(0.02, 0.1))
     coefficients = replace(DEFAULT_COEFFICIENTS, **{exponent: 300.0})
     problem = small_problem(bounds=bounds, coefficients=coefficients)
-    result = brute_force_max(problem, _ORACLE_STEPS)
-    assert result.L_best == 0.0
-    assert result == _parent_brute_force_max(problem, _ORACLE_STEPS)
-    assert (result.best.D1, result.best.D2) == (0.031, 0.032)
+    assert _underflowed_pick(monkeypatch, problem) == (0.031, 0.032, 0.001, 0.0001, 5)
 
 
 def test_factored_oracle_matches_the_reference_at_default_steps():

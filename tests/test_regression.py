@@ -137,9 +137,10 @@ def test_evaluate_checks_that_the_model_is_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowError, match=r"^L = inf H$"):
             evaluate(samples, replace(DEFAULT_COEFFICIENTS, a1=-150.0, a2=-150.0))
-    # a1 = a2 = 150 underflows to 0.0, which is a value: every error is 100%.
-    report = evaluate(samples, replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0))
-    assert (report.mean_error_pct, report.std_error_pct) == (100.0, 0.0)
+    # a1 = a2 = 150 underflows to 0.0, which is outside the range too: no
+    # report of 100% errors.
+    with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
+        evaluate(samples, replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0))
 
 
 def test_design_matrix_names_the_first_bad_label():
