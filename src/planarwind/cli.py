@@ -14,6 +14,11 @@ import math
 import os
 import sys
 
+# One BLAS thread, fixed before NumPy loads, so a result does not depend on the
+# host's CPU count; a value already in the environment wins.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
 import numpy as np
 
 from .dataset import (

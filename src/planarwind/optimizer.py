@@ -471,8 +471,9 @@ def maximize(
     at a given BLAS thread count: SLSQP's linear algebra can end a restart
     at another point with one OpenBLAS thread than with two, and OpenBLAS
     takes its thread count from the CPUs this process may use unless
-    ``OPENBLAS_NUM_THREADS`` sets it.  An error in a worker, such as the
-    OverflowError above, is raised here with its own type and message.
+    ``OPENBLAS_NUM_THREADS`` sets it, as the command line does, to 1.  An
+    error in a worker, such as the OverflowError above, is raised here
+    with its own type and message.
     Python 3.12 and later emit a DeprecationWarning when they fork a
     process that has threads.
 

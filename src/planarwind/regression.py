@@ -190,11 +190,24 @@ def error_pct(sample: Sample, coefficients: CoefficientSet) -> float:
     return (sample.L_ref - L_model) / sample.L_ref * 100.0
 
 
+# A report holds about 60 bytes of JSON per bin: about 60 MB at the limit.
+MAX_HISTOGRAM_BINS = 2 ** 20
+
+
 def _histogram(errors: np.ndarray, bin_width_pct: float) -> tuple[tuple[float, float, int], ...]:
     # Bin k is centered at k * width; assignment is half-open on the right.
-    k = np.floor(errors / bin_width_pct + 0.5).astype(int)
-    kmin, kmax = int(k.min()), int(k.max())
-    counts = np.bincount(k - kmin, minlength=kmax - kmin + 1)
+    k = np.floor(errors / bin_width_pct + 0.5)
+    # Counted in floats, before any cast or allocation, so that an inf or NaN
+    # count fails the limit too.
+    kmin = float(k.min())
+    bins = float(k.max()) - kmin + 1.0
+    if not bins <= MAX_HISTOGRAM_BINS:
+        raise ValueError(
+            f"the error histogram has {bins:.0f} bins of {bin_width_pct}%, above the limit "
+            f"of {MAX_HISTOGRAM_BINS}; a larger --bin-width gives fewer"
+        )
+    # Offsets below the limit are exact in floats, whatever the size of k.
+    counts = np.bincount((k - kmin).astype(int), minlength=int(bins))
     return tuple(
         ((i + kmin - 0.5) * bin_width_pct, (i + kmin + 0.5) * bin_width_pct, int(c))
         for i, c in enumerate(counts)
@@ -215,7 +228,14 @@ def evaluate(
     threshold_pct: float = 5.0,
     bin_width_pct: float = 0.5,
 ) -> FitReport:
-    """Error statistics of a coefficient set on labeled windings; model L must be in (0, inf)."""
+    """Error statistics of a coefficient set on labeled windings; model L must be in (0, inf).
+
+    Raises:
+        OverflowError: for a model value outside (0, inf), or a mean, std or
+            MAE of the errors that is not finite.
+        ValueError: for no samples, settings out of range, or a histogram
+            of more than MAX_HISTOGRAM_BINS bins.
+    """
     if len(samples) == 0:
         raise ValueError("no samples to evaluate")
     _check_report_settings(threshold_pct, bin_width_pct)
@@ -237,15 +257,21 @@ def evaluate(
     require_in_range(L_model)
     L_ref = np.array(c.L_ref)
     errors = (L_ref - L_model) / L_ref * 100.0
+    mean, std, mae = float(errors.mean()), float(errors.std()), float(np.abs(errors).mean())
+    # A model value far enough from its label overflows an error or a statistic of them.
+    if not all(map(math.isfinite, (mean, std, mae))):
+        raise OverflowError(
+            f"the error statistics are not finite: mean {mean}%, std {std}%, MAE {mae}%"
+        )
     exceedance = {
         nl: int(np.sum((np.abs(errors) > threshold_pct) & (layers == nl)))
         for nl in layer_counts
     }
     return FitReport(
         coefficients=coefficients,
-        mean_error_pct=float(errors.mean()),
-        std_error_pct=float(errors.std()),
-        mae_pct=float(np.abs(errors).mean()),
+        mean_error_pct=mean,
+        std_error_pct=std,
+        mae_pct=mae,
         threshold_pct=threshold_pct,
         histogram=_histogram(errors, bin_width_pct),
         exceedance_by_NL=exceedance,

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -823,11 +824,16 @@ class TestOneOutputStep:
         assert [sorted(listing) for listing in listings] == [["a.csv", "h.csv", "r.json"]]
 
 
-def run_python(code, cwd=None):
-    """Run ``code`` in a fresh interpreter under -W error; returns (exit code, stdout, stderr)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(planarwind.__file__).parents[1]))
+def run_python(code, cwd=None, environ=None, preexec_fn=None):
+    """Run ``code`` in a fresh interpreter under -W error; returns (exit code, stdout, stderr).
+
+    The interpreter gets environ, by default os.environ, and runs preexec_fn
+    before it starts.
+    """
+    env = dict(os.environ if environ is None else environ,
+               PYTHONPATH=str(Path(planarwind.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          preexec_fn=preexec_fn, capture_output=True, text=True, timeout=120)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -838,6 +844,97 @@ def test_importing_the_cli_leaves_the_worker_pool_unloaded():
         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
     )
     assert (code, out, err) == (0, "[]\n", "")
+
+
+def test_importing_one_module_leaves_numpy_and_scipy_unloaded():
+    code, out, err = run_python(
+        "import sys, planarwind.geometry; "
+        "print(sorted({name.partition('.')[0] for name in sys.modules} & {'numpy', 'scipy'}))"
+    )
+    assert (code, out, err) == (0, "[]\n", "")
+
+
+# The package's public names before they loaded on first use, in the order
+# of its __all__, under the module that defines each.
+PUBLIC_NAMES = {
+    "geometry": [
+        "GeometryError", "IncompleteGeometryError", "InfeasibleGeometryError",
+        "OrientationError", "ValidationCheck", "ValidationReport", "WindingGeometry",
+        "canonicalize", "derive_inner_side", "inner_side", "mean_side", "meets_min_inner",
+        "validate",
+    ],
+    "estimator": [
+        "COEFFICIENT_NAMES", "DEFAULT_COEFFICIENTS", "MOHAN_COEFFICIENTS", "MU0",
+        "SIMPLIFIED_COEFFICIENTS", "CoefficientSet", "inductance", "inductance_from_dims",
+        "inductance_square", "mohan_inductance", "mohan_inductance_um",
+    ],
+    "dataset": [
+        "CSV_HEADER", "NOMINAL_GRID_COUNTS", "SOURCES", "GridSpec", "Sample",
+        "SampleFileError", "SplitAssignment", "dataset_a_spec", "dataset_b_spec",
+        "dataset_c_spec", "default_corpus", "generate_grid", "read_csv", "read_geometry_csv",
+        "split_train_eval", "synth_labels", "write_csv", "write_geometry_csv",
+    ],
+    "regression": [
+        "FEATURE_NAMES", "CoefficientDispersion", "FitReport", "RankDeficiencyError",
+        "build_design_matrix", "error_pct", "evaluate", "fit_and_evaluate", "fit_ols",
+        "repeated_fit",
+    ],
+    "optimizer": [
+        "BOUND_KEYS", "DEFAULT_RESOLUTION", "InfeasibleProblemError", "OptimizationProblem",
+        "OptimizationResult", "RestartRecord", "brute_force_max", "default_problem",
+        "feasible", "maximize",
+    ],
+}
+
+
+def test_the_package_exports_each_public_name_from_its_module():
+    expected = [name for names in PUBLIC_NAMES.values() for name in names] + ["__version__"]
+    assert planarwind.__all__ == expected and len(expected) == 63
+    for module, names in PUBLIC_NAMES.items():
+        source = importlib.import_module(f"planarwind.{module}")
+        for name in names:
+            assert getattr(planarwind, name) is getattr(source, name), name
+    namespace = {}
+    exec("from planarwind import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(expected)
+    assert set(expected) <= set(dir(planarwind))
+    with pytest.raises(AttributeError, match="^module 'planarwind' has no attribute 'nothing'$"):
+        getattr(planarwind, "nothing")
+
+
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environ_without_blas(**variables):
+    """os.environ without the BLAS thread variables, which importing the CLI here set."""
+    environ = {key: value for key, value in os.environ.items() if key not in _BLAS_VARIABLES}
+    return {**environ, **variables}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare with one")
+def test_optimize_writes_the_same_bytes_on_one_cpu_as_on_all(tmp_path):
+    # With no BLAS variable set, OpenBLAS would take one thread per CPU, and
+    # one restart of this search ends elsewhere at two threads than at one.
+    cpu = min(os.sched_getaffinity(0))
+    for out, preexec_fn in (("all.json", None),
+                            ("one.json", lambda: os.sched_setaffinity(0, {cpu}))):
+        code, _, err = run_python(
+            "import sys; from planarwind.cli import main; sys.exit(main(['optimize', "
+            f"'--problem', 'default', '--restarts', '40', '--seed', '0', '--out', '{out}']))",
+            cwd=tmp_path, environ=_environ_without_blas(), preexec_fn=preexec_fn,
+        )
+        assert (code, err) == (0, "")
+    assert Path(tmp_path, "all.json").read_bytes() == Path(tmp_path, "one.json").read_bytes()
+
+
+def test_a_blas_thread_count_already_set_survives_importing_the_cli():
+    code, out, err = run_python(
+        "import os, planarwind.cli; "
+        f"print(*(os.environ[variable] for variable in {_BLAS_VARIABLES!r}))",
+        environ=_environ_without_blas(OPENBLAS_NUM_THREADS="2"),
+    )
+    assert (code, out, err) == (0, "2 1 1\n", "")
 
 
 def test_an_overflow_in_a_worker_exits_5_with_one_line(tmp_path):

@@ -8,8 +8,9 @@ cells and missing columns.  Numbers range across the float range and past
 it: 0, the NaN and Infinity tokens, integers too large for a float and
 values of the wrong JSON type.  Output targets are new, in a missing
 folder, existing files or a folder.  Whatever is drawn, ``main`` returns
-0, 2, 3, 4 or 5, never 1 (an uncaught exception); a command that fails
-prints nothing on stdout and leaves every file as it found it; and no
+0, 2, 3, 4 or 5, never 1 (an uncaught exception); a command that succeeds
+writes JSON documents without the NaN and Infinity tokens; a command that
+fails prints nothing on stdout and leaves every file as it found it; and no
 command leaves a staged temporary behind.
 """
 
@@ -141,12 +142,44 @@ def _tree(directory):
     return tree
 
 
+# The flags that name an output file, and those whose file is a JSON document,
+# by command; estimate's --output is one under --format json.
+_OUTPUT_FLAGS = ("--out", "--output", "--report", "--hist")
+_JSON_FLAGS = {"estimate": ("--output",), "fit": ("--out", "--report"), "eval": ("--report",),
+               "optimize": ("--out",)}
+
+
+def _strict_json(text):
+    """text parsed as JSON, whose grammar has no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def _json_documents(argv, stdout):
+    """The JSON texts that a run of argv which succeeded left, in files or on stdout."""
+    pairs = list(zip(argv, argv[1:]))
+    if argv[0] == "estimate" and ("--format", "json") not in pairs:
+        return []
+    if argv[0] == "estimate" and "--output" not in argv:
+        return [stdout]
+    # Of a target given twice, the later file is the one left.
+    last_flag = {path: flag for flag, path in pairs if flag in _OUTPUT_FLAGS}
+    texts = []
+    for path, flag in last_flag.items():
+        if flag in _JSON_FLAGS.get(argv[0], ()):
+            with open(path) as handle:
+                texts.append(handle.read())
+    return texts
+
+
 def _check(argv, directory):
     """Run main(argv) on files in directory; assert the output contract.
 
-    The exit code is a documented one; on failure stdout is empty and the
-    directory is as it was, no file added and none changed; and in every
-    case no staged temporary is left.
+    The exit code is a documented one; on success every JSON document
+    written parses as JSON, NaN and Infinity rejected; on failure stdout is
+    empty and the directory is as it was, no file added and none changed;
+    and in every case no staged temporary is left.
     """
     before = _tree(directory)
     stdout = io.StringIO()
@@ -155,7 +188,10 @@ def _check(argv, directory):
     assert code in EXIT_CODES, argv
     event(f"exit {code}")
     after = _tree(directory)
-    if code != 0:
+    if code == 0:
+        for text in _json_documents(argv, stdout.getvalue()):
+            _strict_json(text)
+    else:
         assert stdout.getvalue() == ""
         assert after == before
     assert not [path for path in after if path.endswith(".tmp")]
@@ -344,6 +380,9 @@ def test_fit_exits_with_a_documented_code(text, out, report, fraction, repeats):
 # The report can be written and the histogram cannot: the existing report stays.
 @example(text=SAMPLE_TEXT, coefficients="default", report="existing",
          hist=os.path.join("missing", "out"))
+# Finite model values whose errors overflow: no report of -Infinity and NaN.
+@example(text=SAMPLE_TEXT, coefficients={**DEFAULT_COEFFICIENTS.to_mapping(), "a0": 1e308},
+         report="out", hist=None)
 @settings(max_examples=40, deadline=None)
 def test_eval_exits_with_a_documented_code(text, coefficients, report, hist):
     with tempfile.TemporaryDirectory() as directory:

@@ -143,6 +143,37 @@ def test_evaluate_checks_that_the_model_is_finite():
         evaluate(samples, replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0))
 
 
+def test_evaluate_checks_that_the_error_statistics_are_finite():
+    # Each model value is finite, about 1e302 H, and its error from a label
+    # of microhenries overflows: no report of a -inf mean and a NaN std.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match=r"^the error statistics are not finite: "
+                                                r"mean -inf%, std nan%, MAE inf%$"):
+            evaluate(fit_corpus(), replace(DEFAULT_COEFFICIENTS, a0=1e308))
+
+
+def _two_bin_ends(bin_width_pct):
+    """evaluate on two windings whose errors, 0% and 50%, lie in the end bins."""
+    g = WindingGeometry(0.1, 0.1, 0.004, 0.002, 5, 1)
+    L = inductance(g, DEFAULT_COEFFICIENTS)
+    return evaluate([Sample(g, L), Sample(g, 2.0 * L)], DEFAULT_COEFFICIENTS,
+                    bin_width_pct=bin_width_pct)
+
+
+def test_a_histogram_of_the_bin_limit_is_reported():
+    limit = regression.MAX_HISTOGRAM_BINS
+    histogram = _two_bin_ends(50.0 / (limit - 1)).histogram
+    assert len(histogram) == limit
+    assert histogram[0][2] == histogram[-1][2] == 1
+
+
+def test_a_histogram_above_the_bin_limit_is_rejected():
+    # 50% is bin 2**20 of width 50 / 2**20 exactly, so bins 0 to 2**20 would be needed.
+    with pytest.raises(ValueError, match=r"^the error histogram has 1048577 bins of "
+                                         r"4\.76837158203125e-05%, above the limit of 1048576"):
+        _two_bin_ends(50.0 / regression.MAX_HISTOGRAM_BINS)
+
+
 def test_design_matrix_names_the_first_bad_label():
     samples = fit_corpus()[:3]
     # Sample rejects such a label, so the bad rows are stand-ins.
