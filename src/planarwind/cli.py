@@ -14,12 +14,10 @@ import math
 import os
 import sys
 
-# One BLAS thread, fixed before NumPy loads, so a result does not depend on the
-# host's CPU count; a value already in the environment wins.
+# One BLAS thread, fixed before the imports below load BLAS, so a result does not
+# depend on the host's CPU count; a value already in the environment wins.
 for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_variable, "1")
-
-import numpy as np
 
 from .dataset import (
     BUILTIN_CORPORA,
@@ -458,14 +456,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     stage = _Stager()
     try:
-        # A model value outside (0, inf) is reported by its check, not by NumPy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            text = args.func(args, stage)
+        text = args.func(args, stage)
         stage.commit()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
+    except (RankDeficiencyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OverflowError as exc:

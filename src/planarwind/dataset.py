@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .estimator import CoefficientSet, inductance
+from .estimator import CoefficientSet, inductance, require_in_range
 from .geometry import GeometryError, WindingGeometry, inner_side, is_integer, meets_min_inner
 from .units import h_to_uh, json_field, json_keys, m_to_mm, mm_to_m, uh_to_h
 
@@ -236,17 +236,28 @@ def synth_labels(
     Each label is L = model(geometry) * 10**eps with eps ~ N(0, noise_sigma)
     drawn from a generator seeded with ``seed``.  noise_sigma is the standard
     deviation in log10 space; 0.0086 corresponds to about 2% multiplicative
-    scatter.  With noise_sigma = 0 the labels equal the model exactly.
+    scatter.  With noise_sigma = 0 the labels equal the model exactly.  A
+    label is a model value, in (0, inf) by :func:`require_in_range`; a noise
+    factor 10**eps past the float range counts as inf, as one below it
+    counts as 0.0.
     """
     if noise_sigma < 0.0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, noise_sigma, size=len(geometries))
     return [
-        Sample(geometry=g, L_ref=inductance(g, coefficients) * 10.0 ** float(e),
+        Sample(geometry=g, L_ref=require_in_range(inductance(g, coefficients) * _power_of_ten(e)),
                source="synthetic")
-        for g, e in zip(geometries, eps)
+        for g, e in zip(geometries, eps.tolist())
     ]
+
+
+def _power_of_ten(e: float) -> float:
+    """10.0 ** e, or inf where Python raises on it."""
+    try:
+        return 10.0 ** e
+    except OverflowError:
+        return math.inf
 
 
 class SampleFileError(ValueError):
@@ -398,12 +409,15 @@ def read_csv(path: Union[str, Path]) -> list[Sample]:
             raise SampleFileError(path, line, f"L_uH is not a number: {label!r}") from None
         if not 0.0 < L_uH < math.inf:
             raise SampleFileError(path, line, f"L_uH must be positive and finite, got {L_uH}")
+        L_ref = uh_to_h(L_uH)
+        if L_ref == 0.0:
+            raise SampleFileError(path, line, f"L_uH = {L_uH} underflows to 0.0 H")
         source = row[10].strip()
         if source not in SOURCES:
             raise SampleFileError(
                 path, line, f"source must be one of {', '.join(SOURCES)}, got {source!r}"
             )
-        samples.append(Sample(geometry, uh_to_h(L_uH), source))
+        samples.append(Sample(geometry, L_ref, source))
     return samples
 
 

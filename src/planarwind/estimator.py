@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .geometry import (
     GeometryError,
     IncompleteGeometryError,
@@ -122,7 +120,7 @@ def inductance_from_dims(
 ):
     """Monomial model on raw dimensions, without validation.
 
-    The geometric arguments may be floats or numpy arrays of a common
+    The geometric arguments may be floats or float arrays of a common
     broadcast shape, which makes this the evaluation kernel for grid scans.
     The caller is responsible for positive dimensions; n_layers must be a
     scalar.  Use :func:`inductance` for a validated scalar evaluation.
@@ -147,18 +145,17 @@ def inductance_from_dims(
     return value
 
 
-def require_in_range(L):
-    """L, a model value or an array of them; OverflowError unless each is in (0, inf).
+def require_in_range(L: float) -> float:
+    """L, a model value; OverflowError unless it is in (0, inf).
 
     The one statement of a model value's float range, which fitted or given
     exponents can leave well before the winding is absurd.  The model is a
     monomial fitted and maximized on log10 L, so an underflow to 0.0 is no
-    value, as inf is not; NaN fails the comparison.
+    value, as inf is not; NaN fails the comparison.  A caller with an array
+    checks its min and its max, through both of which a NaN carries.
     """
-    values = np.asarray(L)
-    bad = values[~((0.0 < values) & (values < math.inf))]
-    if bad.size:
-        raise OverflowError(f"L = {bad[0]} H")
+    if not 0.0 < L < math.inf:
+        raise OverflowError(f"L = {L} H")
     return L
 
 
@@ -172,8 +169,7 @@ def inductance(
         g.D1, g.D2, g.d1, g.d2, g.w, g.s, g.n_turns, g.n_layers, g.layer_gap,
         coefficients=coefficients,
     )
-    # require_in_range's rule inline: a NumPy call per winding costs more than the model.
-    return value if 0.0 < value < math.inf else require_in_range(value)
+    return require_in_range(value)
 
 
 def inductance_square(

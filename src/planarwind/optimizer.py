@@ -366,9 +366,12 @@ def _provably_empty(A: np.ndarray, floor: np.ndarray, lo: np.ndarray, hi: np.nda
     relative 1e-12 of the magnitudes involved; that keeps the verdict
     sound under rounding.
     """
-    row_max = np.where(A > 0.0, A * hi, A * lo).sum(axis=1)
-    magnitude = (np.abs(A) * np.maximum(np.abs(lo), np.abs(hi))).sum(axis=1) + np.abs(floor)
-    return bool(np.any(row_max < floor - 1e-12 * magnitude))
+    # A product past the float range is +-inf, and an inf - inf NaN: neither
+    # fails a comparison, so neither proves a turn count empty.
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_max = np.where(A > 0.0, A * hi, A * lo).sum(axis=1)
+        magnitude = (np.abs(A) * np.maximum(np.abs(lo), np.abs(hi))).sum(axis=1) + np.abs(floor)
+        return bool(np.any(row_max < floor - 1e-12 * magnitude))
 
 
 def _better(value, point, best_value, best_point) -> bool:
@@ -405,7 +408,9 @@ def _search(
     rhs = floor + np.array([0.0, 0.0, 0.0, 0.0, _STRICT_MARGIN])
     objective, gradient = _objective(problem, nt)
     records = []
-    with warnings.catch_warnings():
+    # The objective takes NumPy scalars, whose overflow is +-inf and no warning;
+    # the range rule applies where a value is reported.
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.filterwarnings("ignore", message="Values in x were outside bounds")
         for index in indices:
             start = np.random.default_rng([seed, nt, index]).uniform(lo, hi)
@@ -568,13 +573,13 @@ def brute_force_max(
 
     def best_at(nt: int):
         # The best (L, point) at one N_T, or None; its arrays die on return.
-        d1 = inner_side(D1_, nt, w_, s_)
-        d2 = inner_side(D2_, nt, w_, s_)
-        ok1 = (d1 > 0.0) & (d1 >= b["d1"][0]) & (d1 <= b["d1"][1])
-        ok2 = (d2 > 0.0) & (d2 >= b["d2"][0]) & (d2 <= b["d2"][1])
-        if not (ok1.any() and ok2.any()):
-            return None
         with np.errstate(over="ignore", invalid="ignore"):
+            d1 = inner_side(D1_, nt, w_, s_)
+            d2 = inner_side(D2_, nt, w_, s_)
+            ok1 = (d1 > 0.0) & (d1 >= b["d1"][0]) & (d1 <= b["d1"][1])
+            ok2 = (d2 > 0.0) & (d2 >= b["d2"][0]) & (d2 <= b["d2"][1])
+            if not (ok1.any() and ok2.any()):
+                return None
             F1 = np.maximum.accumulate(np.where(ok1, inductance_from_dims(
                 D1_, 1.0, np.maximum(d1, _TINY, out=d1), 1.0, 1.0, 1.0, 1, 1, None, coefficients=c,
             ), -np.inf), axis=0)

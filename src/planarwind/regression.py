@@ -116,6 +116,8 @@ def fit_ols(X: np.ndarray, y: np.ndarray, label: str = "ols") -> CoefficientSet:
         ValueError: on shape mismatch or too few rows to identify the model.
         RankDeficiencyError: if the columns are linearly dependent; the
             error names the dependent columns, found by pivoted QR.
+        FloatingPointError: if the solver fails (NumPy's LinAlgError, chained).
+        OverflowError: if a0 is outside (0, inf).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -127,7 +129,10 @@ def fit_ols(X: np.ndarray, y: np.ndarray, label: str = "ols") -> CoefficientSet:
         raise ValueError(
             f"need more than {X.shape[1]} samples to identify the model, got {X.shape[0]}"
         )
-    solution, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    try:
+        solution, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise FloatingPointError(str(exc)) from exc
     if rank < X.shape[1]:
         from scipy.linalg import qr
 
@@ -135,7 +140,11 @@ def fit_ols(X: np.ndarray, y: np.ndarray, label: str = "ols") -> CoefficientSet:
         dependent = sorted(FEATURE_NAMES[j] for j in pivots[rank:])
         raise RankDeficiencyError(rank, dependent)
     # Column j of X carries a_j (FEATURE_NAMES); the intercept gives a0.
-    return CoefficientSet(10.0 ** solution[0] / MU0, *solution[1:].tolist(), label=label)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a0 = float(10.0 ** solution[0] / MU0)
+    if not 0.0 < a0 < math.inf:
+        raise OverflowError(f"the fitted a0 = {a0}")
+    return CoefficientSet(a0, *solution[1:].tolist(), label=label)
 
 
 @dataclass(frozen=True)
@@ -199,12 +208,19 @@ def _histogram(errors: np.ndarray, bin_width_pct: float) -> tuple[tuple[float, f
     k = np.floor(errors / bin_width_pct + 0.5)
     # Counted in floats, before any cast or allocation, so that an inf or NaN
     # count fails the limit too.
-    kmin = float(k.min())
-    bins = float(k.max()) - kmin + 1.0
+    kmin, kmax = float(k.min()), float(k.max())
+    bins = kmax - kmin + 1.0
     if not bins <= MAX_HISTOGRAM_BINS:
         raise ValueError(
             f"the error histogram has {bins:.0f} bins of {bin_width_pct}%, above the limit "
             f"of {MAX_HISTOGRAM_BINS}; a larger --bin-width gives fewer"
+        )
+    # From 2**52 on, k - 0.5 and k + 0.5 round to one float: a bin with no width.
+    reach = max(-kmin, kmax)
+    if not reach < 2.0 ** 52:
+        raise ValueError(
+            f"the error histogram has a bin {reach:.0f} widths of {bin_width_pct}% from 0, "
+            f"where its edges round to one float; a larger --bin-width gives fewer widths"
         )
     # Offsets below the limit are exact in floats, whatever the size of k.
     counts = np.bincount((k - kmin).astype(int), minlength=int(bins))
@@ -222,6 +238,8 @@ def _check_report_settings(threshold_pct: float, bin_width_pct: float) -> None:
         raise ValueError(f"threshold_pct must be >= 0 and finite, got {threshold_pct}")
 
 
+# A value out of the float range is raised by a check, so NumPy need not warn of it.
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(
     samples: Sequence[Sample],
     coefficients: CoefficientSet,
@@ -234,7 +252,8 @@ def evaluate(
         OverflowError: for a model value outside (0, inf), or a mean, std or
             MAE of the errors that is not finite.
         ValueError: for no samples, settings out of range, or a histogram
-            of more than MAX_HISTOGRAM_BINS bins.
+            of more than MAX_HISTOGRAM_BINS bins or of bins 2**52 widths
+            or more from 0, whose edges round together.
     """
     if len(samples) == 0:
         raise ValueError("no samples to evaluate")
@@ -254,7 +273,8 @@ def evaluate(
             *(column[rows] for column in columns), nl,
             gaps[rows] if nl > 1 else None, coefficients=coefficients,
         )
-    require_in_range(L_model)
+    require_in_range(float(L_model.min()))
+    require_in_range(float(L_model.max()))
     L_ref = np.array(c.L_ref)
     errors = (L_ref - L_model) / L_ref * 100.0
     mean, std, mae = float(errors.mean()), float(errors.std()), float(np.abs(errors).mean())
@@ -323,6 +343,10 @@ def repeated_fit(
     Repeat i uses seed base_seed + i.  The dispersion summary shows how much
     the recovered coefficients move with the split, which is the cheap check
     that a fit is not an artifact of one particular shuffle.
+
+    Raises:
+        OverflowError: as :func:`fit_ols` and :func:`evaluate` do, or for a
+            mean, std or spread of the coefficients that is not finite.
     """
     if not (is_integer(repeats) and repeats >= 1):
         raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
@@ -334,10 +358,16 @@ def repeated_fit(
         report = replace(report, repeats=int(repeats))
         results.append((coefficients, report))
     stacked = np.array([c.as_tuple() for c, _ in results])
-    dispersion = CoefficientDispersion(
-        mean={name: float(v) for name, v in zip(COEFFICIENT_NAMES, stacked.mean(axis=0))},
-        std={name: float(v) for name, v in zip(COEFFICIENT_NAMES, stacked.std(axis=0))},
-        spread={name: float(v) for name, v in
-                zip(COEFFICIENT_NAMES, stacked.max(axis=0) - stacked.min(axis=0))},
-    )
-    return results, dispersion
+    with np.errstate(over="ignore", invalid="ignore"):
+        statistics = {"mean": stacked.mean(axis=0), "std": stacked.std(axis=0),
+                      "spread": stacked.max(axis=0) - stacked.min(axis=0)}
+    summary = {}
+    for statistic, values in statistics.items():
+        summary[statistic] = dict(zip(COEFFICIENT_NAMES, values.tolist()))
+        for name, value in summary[statistic].items():
+            # Coefficients near the float limit, such as an a0 of 1e300, overflow their std.
+            if not math.isfinite(value):
+                raise OverflowError(
+                    f"the coefficient dispersion is not finite: {statistic} {name} = {value}"
+                )
+    return results, CoefficientDispersion(**summary)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -692,6 +693,11 @@ SMALL_COEFFICIENTS = {**DEFAULT_COEFFICIENTS.to_mapping(), "a1": 150.0, "a2": 15
     # SLSQP spends its 200 iterations at -log10 L = +inf, so two restarts, not 100.
     ("optimize", ["--problem", "small_problem.json", "--restarts", "2"]),
     ("optimize", ["--problem", "small_problem.json", "--restarts", "2", "--oracle"]),
+    # A noise factor 10**eps takes a label below the float range (seeds 0 to 3) or past it.
+    *(("grid", ["--spec", "A", "--labels", "default", "--noise", "150", "--seed", str(seed)])
+      for seed in range(6)),
+    # Labels 1e300 times the model fit an a0 near 1.6e300, whose std across the repeats overflows.
+    ("fit", ["--in", "big_labels.csv", "--repeats", "3", "--report", "report.json"]),
 ])
 @pytest.mark.filterwarnings("error")
 def test_a_model_value_outside_the_float_range_exits_5(capsys, tmp_path, monkeypatch,
@@ -707,6 +713,8 @@ def test_a_model_value_outside_the_float_range_exits_5(capsys, tmp_path, monkeyp
     geometries = generate_grid(dataset_a_spec())
     write_geometry_csv(geometries, "geometries.csv")
     write_csv(synth_labels(geometries, DEFAULT_COEFFICIENTS), "samples.csv")
+    write_csv([replace(sample, L_ref=sample.L_ref * 1e300) for sample in
+               synth_labels(geometries, DEFAULT_COEFFICIENTS, 0.0086, 3)], "big_labels.csv")
     out_flag = {"estimate": "--output", "eval": "--report"}.get(command, "--out")
     code, stdout, err = run(capsys, command, *flags, out_flag, "out")
     assert code == 5 and stdout == ""
@@ -714,7 +722,23 @@ def test_a_model_value_outside_the_float_range_exits_5(capsys, tmp_path, monkeyp
     assert len(err.splitlines()) == 1
     assert err.startswith("error: a model value is outside the float range: ")
     assert "small" not in "".join(flags) or err.endswith(": L = 0.0 H\n")
-    assert not Path("out").exists()
+    assert "--noise" not in flags or err.endswith((": L = 0.0 H\n", ": L = inf H\n"))
+    assert "--repeats" not in flags or err.endswith(": std a0 = inf\n")
+    assert not Path("out").exists() and not Path("report.json").exists()
+
+
+def test_a_bin_width_whose_bin_edges_round_together_exits_3(capsys, tmp_path):
+    # The errors are near -1e22%, bin -5e16 of 2e5%, past 2**52.
+    samples = tmp_path / "a.csv"
+    assert run(capsys, "grid", "--spec", "A", "--labels", "default", "--out", str(samples))[0] == 0
+    coefficients = tmp_path / "x.json"
+    coefficients.write_text(json.dumps({**DEFAULT_COEFFICIENTS.to_mapping(), "a0": 1.602e20}))
+    report = tmp_path / "r.json"
+    code, stdout, err = run(capsys, "eval", "--in", str(samples), "--coeffs", str(coefficients),
+                            "--bin-width", "2e5", "--report", str(report))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: the error histogram has a bin ") and "--bin-width" in err
+    assert not report.exists()
 
 
 class TestOneOutputStep:
@@ -846,9 +870,15 @@ def test_importing_the_cli_leaves_the_worker_pool_unloaded():
     assert (code, out, err) == (0, "[]\n", "")
 
 
-def test_importing_one_module_leaves_numpy_and_scipy_unloaded():
+# The scalar model needs no arrays: NumPy loads with the modules that hold them.
+@pytest.mark.parametrize("statement", [
+    "import planarwind.geometry",
+    "import planarwind.estimator",
+    "from planarwind import inductance",
+])
+def test_importing_one_module_leaves_numpy_and_scipy_unloaded(statement):
     code, out, err = run_python(
-        "import sys, planarwind.geometry; "
+        f"import sys; {statement}; "
         "print(sorted({name.partition('.')[0] for name in sys.modules} & {'numpy', 'scipy'}))"
     )
     assert (code, out, err) == (0, "[]\n", "")

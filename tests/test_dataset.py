@@ -260,6 +260,18 @@ class TestSynthLabels:
         assert [s.L_ref for s in first] == [s.L_ref for s in second]
         assert [s.L_ref for s in first] != [s.L_ref for s in other]
 
+    @pytest.mark.parametrize("seed, label", [(0, r"0\.0"), (4, "inf")])
+    def test_a_label_outside_the_float_range_is_an_overflow(self, seed, label):
+        # At 150 decades of noise, 10**eps leaves the float range below (seed 0) or above.
+        with pytest.raises(OverflowError, match=f"^L = {label} H$"):
+            synth_labels(generate_grid(dataset_a_spec()), DEFAULT_COEFFICIENTS, 150.0, seed)
+
+    def test_noisy_labels_are_the_model_times_a_power_of_ten(self):
+        geometries = generate_grid(small_spec())
+        eps = np.random.default_rng(5).normal(0.0, 0.0086, size=len(geometries)).tolist()
+        for sample, e in zip(synth_labels(geometries, DEFAULT_COEFFICIENTS, 0.0086, 5), eps):
+            assert sample.L_ref == inductance(sample.geometry, DEFAULT_COEFFICIENTS) * 10.0 ** e
+
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             synth_labels([], DEFAULT_COEFFICIENTS, -0.01)
@@ -386,6 +398,12 @@ class TestCsv:
             tmp_path, "70.0,70.0,33.0,33.0,3.0,0.1,6,1,,-2.7,synthetic"
         )
         with pytest.raises(SampleFileError, match="L_uH"):
+            read_csv(path)
+        # 1e-320 uH is positive, and 0.0 in henries.
+        path = self._write_lines(
+            tmp_path, "70.0,70.0,33.0,33.0,3.0,0.1,6,1,,1e-320,synthetic"
+        )
+        with pytest.raises(SampleFileError, match=r":2: L_uH = 1e-320 underflows to 0\.0 H$"):
             read_csv(path)
         path = self._write_lines(
             tmp_path, "70.0,70.0,33.0,33.0,3.0,0.1,6,1,,2.7,oracle"
@@ -669,6 +687,9 @@ def _parent_read_csv(path):
         L_uH = _parent_parse_float(path, line, "L_uH", label)
         if not (L_uH > 0.0 and math.isfinite(L_uH)):
             raise SampleFileError(path, line, f"L_uH must be positive and finite, got {L_uH}")
+        # Not in the replaced reader, whose Sample raised with no line: the rule since.
+        if uh_to_h(L_uH) == 0.0:
+            raise SampleFileError(path, line, f"L_uH = {L_uH} underflows to 0.0 H")
         source = row[10].strip()
         if source not in SOURCES:
             raise SampleFileError(
@@ -725,7 +746,7 @@ _CORRUPTIONS = {
     "missing gap": ((8,), None),
     "swapped sides": ((0,), None),
     "inner side off": ((2, 3), None),
-    "bad label": ((9,), ["-2.7", "0", "", "2.7uH", "-0.0", "1e-400"]),
+    "bad label": ((9,), ["-2.7", "0", "", "2.7uH", "-0.0", "1e-400", "1e-320"]),
     "bad source": ((10,), ["oracle", "", "Simulated", "synthetic!", "measured "]),
 }
 # One test case per corruption and value, so that each value is tried.

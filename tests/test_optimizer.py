@@ -415,10 +415,8 @@ class TestMaximize:
         # a1 = a2 = -150: each factor stays finite, and their product is inf.
         problem = replace(default_problem(),
                           coefficients=replace(DEFAULT_COEFFICIENTS, a1=-150.0, a2=-150.0))
-        # Without the CLI's errstate, the objective's NumPy scalars would warn on the overflow.
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(OverflowError, match=r"^L = inf H$") as caught:
-                maximize(problem, restarts=100)
+        with pytest.raises(OverflowError, match=r"^L = inf H$") as caught:
+            maximize(problem, restarts=100)
         assert caught.type is OverflowError
         assert len(forks) == (0 if cpus == 1 else 3)
         assert multiprocessing.active_children() == []

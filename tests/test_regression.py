@@ -131,25 +131,34 @@ def test_evaluate_agrees_with_per_sample_error(corpus):
     }
 
 
+# a1 = a2 = -150: each factor stays finite, and their product is inf where D is 7 cm.
+_BIG = replace(DEFAULT_COEFFICIENTS, a1=-150.0, a2=-150.0)
+
+
 def test_evaluate_checks_that_the_model_is_finite():
     samples = fit_corpus()
-    # a1 = a2 = -150: each factor stays finite, and their product is inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(OverflowError, match=r"^L = inf H$"):
-            evaluate(samples, replace(DEFAULT_COEFFICIENTS, a1=-150.0, a2=-150.0))
+    # The windings of 10 cm sides stay finite, so max(L) finds the inf.
+    with pytest.raises(OverflowError, match=r"^L = inf H$"):
+        evaluate(samples, _BIG)
     # a1 = a2 = 150 underflows to 0.0, which is outside the range too: no
     # report of 100% errors.
     with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
         evaluate(samples, replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0))
+    # w ** 150 underflows to 0.0, and inf * 0.0 is NaN, which min(L) carries.
+    with pytest.raises(OverflowError, match=r"^L = nan H$"):
+        evaluate(samples, replace(_BIG, a5=150.0))
+    # An inf and a 0.0 (sides of 100 m) in one array: min(L) is checked first.
+    windings = [WindingGeometry(D, D, 0.003, 0.0001, 6, 1) for D in (0.07, 100.0)]
+    with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
+        evaluate([Sample(g, 1e-6) for g in windings], _BIG)
 
 
 def test_evaluate_checks_that_the_error_statistics_are_finite():
     # Each model value is finite, about 1e302 H, and its error from a label
     # of microhenries overflows: no report of a -inf mean and a NaN std.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(OverflowError, match=r"^the error statistics are not finite: "
-                                                r"mean -inf%, std nan%, MAE inf%$"):
-            evaluate(fit_corpus(), replace(DEFAULT_COEFFICIENTS, a0=1e308))
+    with pytest.raises(OverflowError, match=r"^the error statistics are not finite: "
+                                            r"mean -inf%, std nan%, MAE inf%$"):
+        evaluate(fit_corpus(), replace(DEFAULT_COEFFICIENTS, a0=1e308))
 
 
 def _two_bin_ends(bin_width_pct):
@@ -172,6 +181,24 @@ def test_a_histogram_above_the_bin_limit_is_rejected():
     with pytest.raises(ValueError, match=r"^the error histogram has 1048577 bins of "
                                          r"4\.76837158203125e-05%, above the limit of 1048576"):
         _two_bin_ends(50.0 / regression.MAX_HISTOGRAM_BINS)
+
+
+def test_a_bin_whose_edges_round_together_is_rejected():
+    # One error of exactly 50% in bins of 50 / 2**n percent is bin 2**n.
+    g = WindingGeometry(0.1, 0.1, 0.004, 0.002, 5, 1)
+    L = inductance(g, DEFAULT_COEFFICIENTS)
+
+    def histogram(power):
+        return evaluate([Sample(g, 2.0 * L)], DEFAULT_COEFFICIENTS,
+                        bin_width_pct=50.0 / 2 ** power).histogram
+
+    (lo, hi, count), = histogram(51)
+    assert lo < 50.0 < hi and count == 1
+    # From 2**52 on, a bin number and its edges +-0.5 round to one float.
+    with pytest.raises(ValueError, match=r"^the error histogram has a bin 4503599627370496 "
+                                         r"widths of 1\.1102230246251565e-14% from 0, .*"
+                                         r"a larger --bin-width gives fewer widths$"):
+        histogram(52)
 
 
 def test_design_matrix_names_the_first_bad_label():
@@ -274,6 +301,24 @@ class TestFitOls:
             fit_ols(X, y[:9])
         with pytest.raises(ValueError, match=r"y has shape \(10, 1\), expected \(10,\)"):
             fit_ols(X, y[:, None])
+
+    def test_a_solver_failure_is_a_floating_point_error(self, monkeypatch):
+        def lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+        X, y = build_design_matrix(fit_corpus())
+        with pytest.raises(FloatingPointError,
+                           match="^SVD did not converge in Linear Least Squares$") as caught:
+            fit_ols(X, y)
+        assert type(caught.value.__cause__) is np.linalg.LinAlgError
+
+    # log10(a0 * mu0) is about -5.7, so these intercepts put 10**c0 past either float limit.
+    @pytest.mark.parametrize("shift, a0", [(320.0, "inf"), (-330.0, "0\\.0")])
+    def test_an_a0_outside_the_float_range_is_an_overflow(self, shift, a0):
+        X, y = build_design_matrix(fit_corpus())
+        with pytest.raises(OverflowError, match=f"^the fitted a0 = {a0}$"):
+            fit_ols(X, y + shift)
 
     def test_rank_deficiency_names_columns(self):
         # One trace width and a single layer count: log10_w is constant
@@ -409,6 +454,14 @@ class TestPipelines:
         assert single[0][0] == results[0][0]
         with pytest.raises(ValueError):
             repeated_fit(samples, repeats=0)
+
+    def test_repeated_fit_checks_that_the_dispersion_is_finite(self):
+        # Labels 1e300 times the model fit an a0 near 1.6e300, whose std overflows.
+        samples = [replace(sample, L_ref=sample.L_ref * 1e300)
+                   for sample in fit_corpus(noise=0.0086, seed=3)]
+        with pytest.raises(OverflowError, match=r"^the coefficient dispersion is not finite: "
+                                                r"std a0 = inf$"):
+            repeated_fit(samples, repeats=3)
 
     @pytest.mark.parametrize("repeats", [True, 2.0, "2"])
     def test_repeats_must_be_an_integer(self, repeats):
