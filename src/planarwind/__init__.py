@@ -16,8 +16,7 @@ _EXPORTS = {
     "geometry": (
         "GeometryError", "IncompleteGeometryError", "InfeasibleGeometryError",
         "OrientationError", "ValidationCheck", "ValidationReport", "WindingGeometry",
-        "canonicalize", "derive_inner_side", "inner_side", "mean_side", "meets_min_inner",
-        "validate",
+        "canonicalize", "inner_side", "mean_side", "meets_min_inner", "validate",
     ),
     "estimator": (
         "COEFFICIENT_NAMES", "DEFAULT_COEFFICIENTS", "MOHAN_COEFFICIENTS", "MU0",
@@ -32,8 +31,7 @@ _EXPORTS = {
     ),
     "regression": (
         "FEATURE_NAMES", "CoefficientDispersion", "FitReport", "RankDeficiencyError",
-        "build_design_matrix", "error_pct", "evaluate", "fit_and_evaluate", "fit_ols",
-        "repeated_fit",
+        "build_design_matrix", "evaluate", "fit_and_evaluate", "fit_ols", "repeated_fit",
     ),
     "optimizer": (
         "BOUND_KEYS", "DEFAULT_RESOLUTION", "InfeasibleProblemError", "OptimizationProblem",

@@ -126,22 +126,35 @@ def inductance_from_dims(
     scalar.  Use :func:`inductance` for a validated scalar evaluation.
     """
     c = coefficients
-    value = (
-        c.a0
-        * MU0
-        * D1 ** c.a1
-        * D2 ** c.a2
-        * mean_side(D1, d1) ** c.a3
-        * mean_side(D2, d2) ** c.a4
-        * w ** c.a5
-        * s ** c.a6
-        * n_turns ** c.a7
-        * n_layers ** c.a8
-    )
-    if n_layers > 1:
-        if layer_gap is None:
-            raise IncompleteGeometryError(f"layer_gap is required for n_layers={n_layers}")
-        value = value * layer_gap ** (c.a9 * (n_layers - 1))
+    # Checked first, so that the NumPy evaluation below never reports it.
+    if n_layers > 1 and layer_gap is None:
+        raise IncompleteGeometryError(f"layer_gap is required for n_layers={n_layers}")
+    try:
+        value = (
+            c.a0
+            * MU0
+            * D1 ** c.a1
+            * D2 ** c.a2
+            * mean_side(D1, d1) ** c.a3
+            * mean_side(D2, d2) ** c.a4
+            * w ** c.a5
+            * s ** c.a6
+            * n_turns ** c.a7
+            * n_layers ** c.a8
+        )
+        if n_layers > 1:
+            value = value * layer_gap ** (c.a9 * (n_layers - 1))
+    except OverflowError:
+        # Python's ** raises where a power of a Python number passes the float
+        # range, and NumPy's gives inf.  Evaluated again on NumPy values, as the
+        # array path is, the value is inf or NaN; only here does NumPy load.
+        import numpy as np
+
+        args = [None if v is None else np.asarray(v, dtype=float)
+                for v in (D1, D2, d1, d2, w, s, n_turns, n_layers, layer_gap)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = inductance_from_dims(*args, coefficients=c)
+        return float(value) if np.ndim(value) == 0 else value
     return value
 
 

@@ -57,37 +57,6 @@ def require_integer(name: str, count) -> None:
         raise GeometryError(f"{name} must be an integer, got {count!r}")
 
 
-def derive_inner_side(D: float, n_turns: int, w: float, s: float) -> float:
-    """Inner side length of a spiral with n_turns of width w and spacing s.
-
-    Args:
-        D: outer side length (m).
-        n_turns: number of turns per layer, >= 1.
-        w: trace width (m).
-        s: spacing between adjacent turns (m).
-
-    Returns:
-        The inner side length d = D - 2*n_turns*(w+s) + 2*s, in meters.
-
-    Raises:
-        GeometryError: if any length is nonpositive or not finite, or
-            n_turns < 1.
-        InfeasibleGeometryError: if the turns do not fit (d <= 0).
-    """
-    # Chained comparisons are False for NaN, so NaN fails too.
-    if not (0.0 < D < math.inf and 0.0 < w < math.inf and 0.0 < s < math.inf):
-        raise GeometryError(f"lengths must be positive and finite, got D={D}, w={w}, s={s}")
-    if n_turns < 1:
-        raise GeometryError(f"n_turns must be >= 1, got {n_turns}")
-    d = inner_side(D, n_turns, w, s)
-    if d <= 0.0:
-        raise InfeasibleGeometryError(
-            f"{n_turns} turns of width {w} m at spacing {s} m do not fit "
-            f"inside D={D} m (inner side would be {d:.6g} m)"
-        )
-    return d
-
-
 @dataclass(frozen=True, slots=True)
 class WindingGeometry:
     """One multilayer rectangular planar winding, in SI units.
@@ -104,7 +73,8 @@ class WindingGeometry:
         d1, d2: inner side lengths (m), derived.  Not constructor arguments.
 
     Every length must be positive and finite; NaN and infinity raise
-    GeometryError, as does a count that is not an integer.
+    GeometryError, as does a count that is not an integer or a count below 1.
+    Turns that leave an inner side <= 0 raise InfeasibleGeometryError.
     """
 
     D1: float
@@ -136,8 +106,22 @@ class WindingGeometry:
                 raise IncompleteGeometryError(f"layer_gap is required for n_layers={n_layers}")
             if not 0.0 < gap < math.inf:
                 raise GeometryError(f"layer_gap must be positive and finite, got {gap}")
-        object.__setattr__(self, "d1", derive_inner_side(D1, n_turns, w, s))
-        object.__setattr__(self, "d2", derive_inner_side(D2, n_turns, w, s))
+        # Chained comparisons are False for NaN, so NaN fails too.
+        if not (0.0 < D1 < math.inf and 0.0 < w < math.inf and 0.0 < s < math.inf):
+            raise GeometryError(f"lengths must be positive and finite, got D={D1}, w={w}, s={s}")
+        if n_turns < 1:
+            raise GeometryError(f"n_turns must be >= 1, got {n_turns}")
+        # D2 is checked after d1, so a D1 whose turns do not fit is named first.
+        for name, D in (("d1", D1), ("d2", D2)):
+            if not 0.0 < D < math.inf:
+                raise GeometryError(f"lengths must be positive and finite, got D={D}, w={w}, s={s}")
+            d = inner_side(D, n_turns, w, s)
+            if d <= 0.0:
+                raise InfeasibleGeometryError(
+                    f"{n_turns} turns of width {w} m at spacing {s} m do not fit "
+                    f"inside D={D} m (inner side would be {d:.6g} m)"
+                )
+            object.__setattr__(self, name, d)
 
 
 def canonicalize(

@@ -7,7 +7,9 @@ Taking log10 of the model turns it into a linear relation
 with intercept c0 = log10(a0 * mu0), so the coefficients follow from
 ordinary least squares on a design matrix of logged dimensions.  The layer
 gap enters through the single regressor x9 = (N_L - 1) * log10(O), which is
-exactly zero for single-layer rows (where no gap exists).
+exactly zero for single-layer rows (where no gap exists).  A row depends only
+on its own winding, so :func:`repeated_fit` builds one design matrix per
+corpus and takes each split's training rows from it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import Sample, split_train_eval
-from .estimator import COEFFICIENT_NAMES, MU0, CoefficientSet, inductance, require_in_range
+from .estimator import COEFFICIENT_NAMES, MU0, CoefficientSet, require_in_range
 from .estimator import inductance_from_dims
 from .geometry import is_integer, mean_side
 
@@ -193,12 +195,6 @@ class FitReport:
         }
 
 
-def error_pct(sample: Sample, coefficients: CoefficientSet) -> float:
-    """Relative deviation of the model from the label, in percent."""
-    L_model = inductance(sample.geometry, coefficients)
-    return (sample.L_ref - L_model) / sample.L_ref * 100.0
-
-
 # A report holds about 60 bytes of JSON per bin: about 60 MB at the limit.
 MAX_HISTOGRAM_BINS = 2 ** 20
 
@@ -306,16 +302,9 @@ def fit_and_evaluate(
     threshold_pct: float = 5.0,
     bin_width_pct: float = 0.5,
 ) -> tuple[CoefficientSet, FitReport]:
-    """Split, fit on the training side, evaluate on the held-out side."""
-    _check_report_settings(threshold_pct, bin_width_pct)
-    split = split_train_eval(samples, fraction, seed)
-    train = [samples[i] for i in split.train]
-    held_out = [samples[i] for i in split.eval]
-    X, y = build_design_matrix(train)
-    coefficients = fit_ols(X, y, label=f"ols seed={seed} n_train={len(train)}")
-    report = evaluate(held_out, coefficients, threshold_pct, bin_width_pct)
-    report = replace(report, n_train=len(train), seed=seed, repeats=1)
-    return coefficients, report
+    """One :func:`repeated_fit`: split, fit on the training side, evaluate on the other."""
+    results, _ = repeated_fit(samples, fraction, seed, 1, threshold_pct, bin_width_pct)
+    return results[0]
 
 
 @dataclass(frozen=True)
@@ -340,9 +329,11 @@ def repeated_fit(
 ) -> tuple[list[tuple[CoefficientSet, FitReport]], CoefficientDispersion]:
     """Repeat the split-fit-evaluate cycle with derived seeds.
 
-    Repeat i uses seed base_seed + i.  The dispersion summary shows how much
-    the recovered coefficients move with the split, which is the cheap check
-    that a fit is not an artifact of one particular shuffle.
+    Repeat i uses seed base_seed + i: it fits on its training rows of one
+    design matrix of the whole corpus and evaluates on its held-out samples.
+    The dispersion summary shows how much the recovered coefficients move
+    with the split, which is the cheap check that a fit is not an artifact
+    of one particular shuffle.
 
     Raises:
         OverflowError: as :func:`fit_ols` and :func:`evaluate` do, or for a
@@ -350,12 +341,22 @@ def repeated_fit(
     """
     if not (is_integer(repeats) and repeats >= 1):
         raise ValueError(f"repeats must be an integer >= 1, got {repeats!r}")
+    _check_report_settings(threshold_pct, bin_width_pct)
+    # A split fails only on the fraction and the corpus size, the same for
+    # every seed: the first one raises that error before any log is taken.
+    first = split_train_eval(samples, fraction, base_seed)
+    # A row depends only on its own winding, so the rows of the whole corpus,
+    # logged once, are those of each training side.
+    X, y = build_design_matrix(samples)
     results = []
     for i in range(repeats):
-        coefficients, report = fit_and_evaluate(
-            samples, fraction, base_seed + i, threshold_pct, bin_width_pct
-        )
-        report = replace(report, repeats=int(repeats))
+        split = split_train_eval(samples, fraction, base_seed + i) if i else first
+        train = np.array(split.train)
+        coefficients = fit_ols(X[train], y[train],
+                               label=f"ols seed={split.seed} n_train={train.size}")
+        report = evaluate([samples[j] for j in split.eval], coefficients,
+                          threshold_pct, bin_width_pct)
+        report = replace(report, n_train=train.size, seed=split.seed, repeats=int(repeats))
         results.append((coefficients, report))
     stacked = np.array([c.as_tuple() for c, _ in results])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -31,9 +31,7 @@ from planarwind import (
     write_geometry_csv,
 )
 from planarwind.dataset import CSV_HEADER
-from planarwind.geometry import (
-    GeometryError, InfeasibleGeometryError, derive_inner_side, meets_min_inner,
-)
+from planarwind.geometry import GeometryError, inner_side, meets_min_inner
 from planarwind.units import h_to_uh, m_to_mm, mm_to_m, uh_to_h
 
 
@@ -512,11 +510,8 @@ def _parent_generate_grid(spec):
             for w in spec.w_values:
                 for s in spec.s_values:
                     for nt in spec.NT_values:
-                        try:
-                            d1 = derive_inner_side(mm_to_m(D1), nt, mm_to_m(w), mm_to_m(s))
-                        except InfeasibleGeometryError:
-                            continue
-                        if not meets_min_inner(d1, min_inner_m, spec.strict_inner):
+                        d1 = inner_side(mm_to_m(D1), nt, mm_to_m(w), mm_to_m(s))
+                        if d1 <= 0.0 or not meets_min_inner(d1, min_inner_m, spec.strict_inner):
                             continue
                         for nl in spec.NL_values:
                             if nl == 1:

@@ -415,6 +415,13 @@ def test_a_model_value_outside_the_float_range_is_an_overflow():
     # An underflow to 0.0 is outside the range as well: log10 L has no value there.
     with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
         inductance(g, replace(DEFAULT_COEFFICIENTS, a1=150.0, a2=150.0))
+    # One power passes the float range, O ** (a9 * 99999), where Python's ** raises:
+    # inf, as NumPy's power gives, and NaN where w ** 150 underflows to 0.0 as well.
+    many_layers = WindingGeometry(0.1, 0.1, 0.005, 0.001, 5, 100000, 0.0016)
+    with pytest.raises(OverflowError, match=r"^L = inf H$"):
+        inductance(many_layers)
+    with pytest.raises(OverflowError, match=r"^L = nan H$"):
+        inductance(many_layers, replace(DEFAULT_COEFFICIENTS, a5=150.0))
 
 
 def test_require_in_range_is_the_rule_for_floats():

@@ -12,7 +12,7 @@ from planarwind import (
     OrientationError,
     WindingGeometry,
     canonicalize,
-    derive_inner_side,
+    inner_side,
     mean_side,
     meets_min_inner,
     validate,
@@ -20,22 +20,37 @@ from planarwind import (
 from planarwind.units import mm_to_m
 
 
-def test_derive_inner_side_golden_values():
-    assert derive_inner_side(0.100, 5, 0.004, 0.002) == pytest.approx(0.044, rel=1e-12)
-    assert derive_inner_side(0.100, 5, 0.005, 0.001) == pytest.approx(0.042, rel=1e-12)
-    assert derive_inner_side(0.100, 10, 0.003, 0.0001) == pytest.approx(0.0382, rel=1e-12)
-    assert derive_inner_side(0.165, 10, 0.003, 0.0001) == pytest.approx(0.1032, rel=1e-12)
+def test_geometry_inner_side_golden_values():
+    assert WindingGeometry(0.100, 0.100, 0.004, 0.002, 5, 1).d1 == pytest.approx(0.044, rel=1e-12)
+    assert WindingGeometry(0.100, 0.100, 0.005, 0.001, 5, 1).d2 == pytest.approx(0.042, rel=1e-12)
+    g = WindingGeometry(0.100, 0.165, 0.003, 0.0001, 10, 1)
+    assert g.d1 == pytest.approx(0.0382, rel=1e-12)
+    assert g.d2 == pytest.approx(0.1032, rel=1e-12)
 
 
-def test_derive_inner_side_rejects_bad_inputs():
-    with pytest.raises(GeometryError):
-        derive_inner_side(-0.1, 5, 0.004, 0.002)
-    with pytest.raises(GeometryError):
-        derive_inner_side(0.1, 5, 0.0, 0.002)
-    with pytest.raises(GeometryError):
-        derive_inner_side(0.1, 0, 0.004, 0.002)
-    with pytest.raises(InfeasibleGeometryError):
-        derive_inner_side(0.05, 10, 0.004, 0.002)
+# Each rejection of the sides and turns, in the order the constructor makes them.
+@pytest.mark.parametrize("args, error, message", [
+    ((-0.1, 0.1, 0.004, 0.002, 5), GeometryError,
+     "lengths must be positive and finite, got D=-0.1, w=0.004, s=0.002"),
+    ((0.1, 0.1, 0.0, 0.002, 5), GeometryError,
+     "lengths must be positive and finite, got D=0.1, w=0.0, s=0.002"),
+    ((math.nan, 0.1, 0.004, 0.002, 0), GeometryError,
+     "lengths must be positive and finite, got D=nan, w=0.004, s=0.002"),
+    ((0.1, 0.1, 0.004, 0.002, 0), GeometryError, "n_turns must be >= 1, got 0"),
+    ((0.05, 0.1, 0.004, 0.002, 10), InfeasibleGeometryError,
+     "10 turns of width 0.004 m at spacing 0.002 m do not fit inside D=0.05 m "
+     "(inner side would be -0.066 m)"),
+    # A D1 whose turns do not fit is named before a D2 that is NaN.
+    ((0.05, math.nan, 0.004, 0.002, 10), InfeasibleGeometryError,
+     "10 turns of width 0.004 m at spacing 0.002 m do not fit inside D=0.05 m "
+     "(inner side would be -0.066 m)"),
+    ((0.1, math.inf, 0.004, 0.002, 5), GeometryError,
+     "lengths must be positive and finite, got D=inf, w=0.004, s=0.002"),
+], ids=["D1", "w", "NaN D1", "n_turns", "d1", "d1 before D2", "D2"])
+def test_geometry_rejects_bad_sides_and_turns(args, error, message):
+    with pytest.raises(error) as caught:
+        WindingGeometry(*args, 1)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_geometry_derives_inner_sides():
@@ -129,8 +144,8 @@ def test_mean_sides():
 def test_meets_min_inner_boundary_is_decimal_exact():
     # Both of these work out to d = 17 mm on paper; in floats one lands a
     # hair above 17 mm and the other a hair below 0.017 m.
-    d_a = derive_inner_side(mm_to_m(70.0), 6, mm_to_m(4.0), mm_to_m(0.5))
-    d_b = derive_inner_side(mm_to_m(80.0), 6, mm_to_m(5.0), mm_to_m(0.3))
+    d_a = inner_side(mm_to_m(70.0), 6, mm_to_m(4.0), mm_to_m(0.5))
+    d_b = inner_side(mm_to_m(80.0), 6, mm_to_m(5.0), mm_to_m(0.3))
     for d in (d_a, d_b):
         assert meets_min_inner(d, mm_to_m(17.0), strict=False)
         assert not meets_min_inner(d, mm_to_m(17.0), strict=True)

@@ -20,13 +20,13 @@ from planarwind import (
     WindingGeometry,
     build_design_matrix,
     default_corpus,
-    error_pct,
     evaluate,
     fit_and_evaluate,
     fit_ols,
     generate_grid,
     inductance,
     repeated_fit,
+    split_train_eval,
     synth_labels,
 )
 from planarwind import regression
@@ -74,6 +74,33 @@ def _parent_design_row(sample):
         x9,
         math.log10(sample.L_ref),
     )
+
+
+def error_pct(sample, coefficients):
+    """Relative deviation of the model from the label, in percent, one winding at a time.
+
+    The per-winding reference that evaluate's column arrays must agree with.
+    """
+    L_model = inductance(sample.geometry, coefficients)
+    return (sample.L_ref - L_model) / sample.L_ref * 100.0
+
+
+def _parent_fit_and_evaluate(samples, fraction=0.8, seed=0, threshold_pct=5.0,
+                             bin_width_pct=0.5):
+    """One split-fit-evaluate cycle that builds and logs its own training rows.
+
+    The per-split cycle that repeated_fit's one design matrix per corpus
+    replaced, kept as the reference its results must equal bit for bit.
+    """
+    regression._check_report_settings(threshold_pct, bin_width_pct)
+    split = split_train_eval(samples, fraction, seed)
+    train = [samples[i] for i in split.train]
+    held_out = [samples[i] for i in split.eval]
+    X, y = build_design_matrix(train)
+    coefficients = fit_ols(X, y, label=f"ols seed={seed} n_train={len(train)}")
+    report = evaluate(held_out, coefficients, threshold_pct, bin_width_pct)
+    report = replace(report, n_train=len(train), seed=seed, repeats=1)
+    return coefficients, report
 
 
 def _distinct(values, max_size):
@@ -463,7 +490,25 @@ class TestPipelines:
                                                 r"std a0 = inf$"):
             repeated_fit(samples, repeats=3)
 
-    @pytest.mark.parametrize("repeats", [True, 2.0, "2"])
+    @pytest.mark.parametrize("repeats", [1, 4])
+    @pytest.mark.parametrize("fraction", [0.5, 0.8, 0.9])
+    @pytest.mark.parametrize("noise", [0.0, 0.0086])
+    def test_repeated_fit_equals_the_per_split_cycle_bit_for_bit(self, repeats, fraction, noise):
+        samples = synth_labels(_corpus_ab(), DEFAULT_COEFFICIENTS, noise, 3)
+        results, _ = repeated_fit(samples, fraction, base_seed=7, repeats=repeats)
+        if repeats == 1:
+            assert results[0] == fit_and_evaluate(samples, fraction, seed=7)
+        assert len(results) == repeats
+        for i, (coefficients, report) in enumerate(results):
+            want, want_report = _parent_fit_and_evaluate(samples, fraction, seed=7 + i)
+            assert coefficients.label == want.label
+            assert np.array(coefficients.as_tuple()).tobytes() == \
+                np.array(want.as_tuple()).tobytes()
+            # repr, and so JSON, tells every float apart, -0.0 from 0.0 too.
+            assert json.dumps(report.to_mapping()) == \
+                json.dumps(replace(want_report, repeats=repeats).to_mapping())
+
+    @pytest.mark.parametrize("repeats", [True, 2.0, "2", 0])
     def test_repeats_must_be_an_integer(self, repeats):
         # True is an int to Python, and would run one repeat reported as true.
         with pytest.raises(ValueError, match="^repeats must be an integer >= 1, got "):
@@ -477,14 +522,21 @@ class TestPipelines:
         assert json.loads(json.dumps(results[0][1].to_mapping()))["repeats"] == 2
 
     @pytest.mark.parametrize("fit", [fit_and_evaluate, repeated_fit])
-    @pytest.mark.parametrize("setting, message", [
-        ({"threshold_pct": math.nan}, "^threshold_pct must be >= 0 and finite"),
-        ({"bin_width_pct": math.inf}, "^bin_width_pct must be positive and finite"),
+    @pytest.mark.parametrize("size, setting, message", [
+        (None, {"threshold_pct": math.nan}, "threshold_pct must be >= 0 and finite, got nan"),
+        (None, {"threshold_pct": -1}, "threshold_pct must be >= 0 and finite, got -1"),
+        (None, {"bin_width_pct": math.inf}, "bin_width_pct must be positive and finite, got inf"),
+        (0, {}, "need at least 2 samples to split, got 0"),
+        (1, {}, "need at least 2 samples to split, got 1"),
+        (None, {"fraction": 1.0}, "fraction must be in (0, 1), got 1.0"),
     ])
-    def test_report_settings_are_checked_before_the_fit(self, monkeypatch, fit, setting, message):
+    def test_settings_and_corpus_size_are_checked_before_the_fit(self, monkeypatch, fit, size,
+                                                                 setting, message):
         def unreachable(samples):
             raise AssertionError("the fit ran")
 
+        samples = fit_corpus()[:size]
         monkeypatch.setattr(regression, "build_design_matrix", unreachable)
-        with pytest.raises(ValueError, match=message):
-            fit(fit_corpus(), **setting)
+        with pytest.raises(ValueError) as caught:
+            fit(samples, **setting)
+        assert type(caught.value) is ValueError and str(caught.value) == message
