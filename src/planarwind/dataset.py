@@ -2,6 +2,12 @@
 
 Grid specifications and files use millimeters and microhenries; everything
 returned to callers is SI (see :mod:`planarwind.units`).
+
+A corpus from a parameter sweep holds a few distinct lengths in long
+runs.  Windings built here share one float per value where that is free:
+:func:`generate_grid` converts each spec value once, and the CSV readers
+take a length cell that repeats the cell above it from that row, and a
+source name from :data:`SOURCES`.
 """
 
 from __future__ import annotations
@@ -158,14 +164,19 @@ def generate_grid(spec: GridSpec) -> list[WindingGeometry]:
     whose turns do not fit or whose inner side misses min_inner.
     """
     min_inner_m = mm_to_m(spec.min_inner)
-    gaps = tuple(mm_to_m(gap) for gap in spec.O_values)
+    # Each value is converted once, so the windings share one float per value.
+    # The sides keep their millimeters, in which the orientation is decided.
+    sides1 = [(D, mm_to_m(D)) for D in spec.D1_values]
+    sides2 = [(D, mm_to_m(D)) for D in spec.D2_values]
+    widths = [mm_to_m(w) for w in spec.w_values]
+    spacings = [mm_to_m(s) for s in spec.s_values]
+    gaps = [mm_to_m(gap) for gap in spec.O_values]
     out: list[WindingGeometry] = []
-    for D1, D2, w, s, nt in itertools.product(
-        spec.D1_values, spec.D2_values, spec.w_values, spec.s_values, spec.NT_values,
+    for (D1_mm, D1), (D2_mm, D2), w, s, nt in itertools.product(
+        sides1, sides2, widths, spacings, spec.NT_values,
     ):
-        if D1 > D2:
+        if D1_mm > D2_mm:
             continue
-        D1, D2, w, s = mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s)
         # GridSpec guarantees positive, finite lengths and N_T >= 1, so the
         # turns fit exactly when d1 > 0 (d2 >= d1 as D2 >= D1).
         d1 = inner_side(D1, nt, w, s)
@@ -334,39 +345,58 @@ def _bad_cell(path, line: int, row: Sequence[str]) -> SampleFileError:
     raise AssertionError("every numeric cell converts")
 
 
-def _parse_geometry(path, line: int, row: Sequence[str]) -> WindingGeometry:
-    # float() and int() skip surrounding whitespace, so the numeric cells
-    # are converted as read; only an error message strips its cell.
-    try:
-        D1, D2, d1, d2, w, s = map(float, row[:6])
-        nt, nl = map(int, row[6:8])
-    except ValueError:
-        raise _bad_cell(path, line, row) from None
-    gap_text = row[8].strip()
-    if nl == 1 and gap_text != "":
-        raise SampleFileError(path, line, f"O_mm must be empty for a single-layer row, got {gap_text!r}")
-    if nl >= 2 and gap_text == "":
-        raise SampleFileError(path, line, f"O_mm is required for N_L={nl}")
-    gap = _parse_float(path, line, "O_mm", gap_text) if gap_text != "" else None
-    try:
-        geometry = WindingGeometry(
-            mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s), nt, nl,
-            mm_to_m(gap) if gap is not None else None,
-        )
-    except GeometryError as exc:
-        raise SampleFileError(path, line, str(exc)) from None
-    # Written so that a NaN or infinite inner side fails too; only a
-    # failing row pays for naming the side.
-    if not (abs(d1 - m_to_mm(geometry.d1)) <= _D_TOLERANCE_MM
-            and abs(d2 - m_to_mm(geometry.d2)) <= _D_TOLERANCE_MM):
-        for name, given, derived in (("d1_mm", d1, geometry.d1), ("d2_mm", d2, geometry.d2)):
-            if not abs(given - m_to_mm(derived)) <= _D_TOLERANCE_MM:
-                raise SampleFileError(
-                    path, line,
-                    f"{name}={given} does not match the value derived from the "
-                    f"outer side and turns ({m_to_mm(derived):.4f})",
-                )
-    return geometry
+def _parse_geometries(path: Union[str, Path]):
+    """Yield (line, row, geometry) for each row of a sample CSV.
+
+    A length cell (D1_mm, D2_mm, w_mm, s_mm, O_mm) whose text equals the
+    same cell of the previous row takes that row's float: the same text
+    parses to the same float, and that row passed every check.  A corpus
+    from a parameter sweep repeats a few lengths in long runs, so its
+    windings then share one float per run, not one per row.
+    """
+    # No cell equals None, so the first row parses every cell.
+    last_row, last = (None,) * len(CSV_HEADER), None
+    for line, row in _read_rows(path):
+        # float() and int() skip surrounding whitespace, so the numeric
+        # cells are converted as read; only an error message strips its cell.
+        try:
+            D1 = last.D1 if row[0] == last_row[0] else mm_to_m(float(row[0]))
+            D2 = last.D2 if row[1] == last_row[1] else mm_to_m(float(row[1]))
+            d1, d2 = float(row[2]), float(row[3])
+            w = last.w if row[4] == last_row[4] else mm_to_m(float(row[4]))
+            s = last.s if row[5] == last_row[5] else mm_to_m(float(row[5]))
+            nt, nl = int(row[6]), int(row[7])
+        except ValueError:
+            raise _bad_cell(path, line, row) from None
+        gap_text = row[8].strip()
+        if nl == 1 and gap_text != "":
+            raise SampleFileError(path, line, f"O_mm must be empty for a single-layer row, got {gap_text!r}")
+        if nl >= 2 and gap_text == "":
+            raise SampleFileError(path, line, f"O_mm is required for N_L={nl}")
+        if gap_text == "":
+            gap = None
+        elif row[8] == last_row[8]:
+            # A gap cell that is not empty belongs to a multilayer row.
+            gap = last.layer_gap
+        else:
+            gap = mm_to_m(_parse_float(path, line, "O_mm", gap_text))
+        try:
+            geometry = WindingGeometry(D1, D2, w, s, nt, nl, gap)
+        except GeometryError as exc:
+            raise SampleFileError(path, line, str(exc)) from None
+        # Written so that a NaN or infinite inner side fails too; only a
+        # failing row pays for naming the side.
+        if not (abs(d1 - m_to_mm(geometry.d1)) <= _D_TOLERANCE_MM
+                and abs(d2 - m_to_mm(geometry.d2)) <= _D_TOLERANCE_MM):
+            for name, given, derived in (("d1_mm", d1, geometry.d1), ("d2_mm", d2, geometry.d2)):
+                if not abs(given - m_to_mm(derived)) <= _D_TOLERANCE_MM:
+                    raise SampleFileError(
+                        path, line,
+                        f"{name}={given} does not match the value derived from the "
+                        f"outer side and turns ({m_to_mm(derived):.4f})",
+                    )
+        yield line, row, geometry
+        last_row, last = row, geometry
 
 
 def _read_rows(path: Union[str, Path]):
@@ -398,8 +428,7 @@ def read_csv(path: Union[str, Path]) -> list[Sample]:
     derivation within 1 um.  Errors report the offending line number.
     """
     samples = []
-    for line, row in _read_rows(path):
-        geometry = _parse_geometry(path, line, row)
+    for line, row, geometry in _parse_geometries(path):
         try:
             L_uH = float(row[9])
         except ValueError:
@@ -412,15 +441,17 @@ def read_csv(path: Union[str, Path]) -> list[Sample]:
         L_ref = uh_to_h(L_uH)
         if L_ref == 0.0:
             raise SampleFileError(path, line, f"L_uH = {L_uH} underflows to 0.0 H")
-        source = row[10].strip()
-        if source not in SOURCES:
+        # The SOURCES name itself, not the cell's copy of it.
+        try:
+            source = SOURCES[SOURCES.index(row[10].strip())]
+        except ValueError:
             raise SampleFileError(
-                path, line, f"source must be one of {', '.join(SOURCES)}, got {source!r}"
-            )
+                path, line, f"source must be one of {', '.join(SOURCES)}, got {row[10].strip()!r}"
+            ) from None
         samples.append(Sample(geometry, L_ref, source))
     return samples
 
 
 def read_geometry_csv(path: Union[str, Path]) -> list[WindingGeometry]:
     """Read geometries from CSV, ignoring any label columns."""
-    return [_parse_geometry(path, line, row) for line, row in _read_rows(path)]
+    return [geometry for _, _, geometry in _parse_geometries(path)]

@@ -9,7 +9,9 @@ ordinary least squares on a design matrix of logged dimensions.  The layer
 gap enters through the single regressor x9 = (N_L - 1) * log10(O), which is
 exactly zero for single-layer rows (where no gap exists).  A row depends only
 on its own winding, so :func:`repeated_fit` builds one design matrix per
-corpus and takes each split's training rows from it.
+corpus and takes each split's training rows from it.  The design matrix and
+:func:`evaluate`'s column arrays are filled with ``np.fromiter`` straight
+from the samples, one field at a time.
 """
 
 from __future__ import annotations
@@ -52,59 +54,42 @@ class RankDeficiencyError(ValueError):
         )
 
 
-class _Columns:
-    """The fields of a list of samples, each pulled out once as a list.
-
-    Lists of floats, not per-row tuples: floats are not tracked by the
-    garbage collector, so building these triggers no collections over the
-    samples still alive.
-    """
-
-    def __init__(self, samples: Sequence[Sample]):
-        geometries = [sample.geometry for sample in samples]
-        self.D1 = [g.D1 for g in geometries]
-        self.D2 = [g.D2 for g in geometries]
-        self.d1 = [g.d1 for g in geometries]
-        self.d2 = [g.d2 for g in geometries]
-        self.w = [g.w for g in geometries]
-        self.s = [g.s for g in geometries]
-        self.NT = [g.n_turns for g in geometries]
-        self.NL = [g.n_layers for g in geometries]
-        self.gap = [g.layer_gap for g in geometries]
-        self.L_ref = [sample.L_ref for sample in samples]
-
-
 def build_design_matrix(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix (with leading intercept column) and response vector.
 
     Row i holds, after the intercept, log10 of D1, D2, Dbar1, Dbar2, w, s,
     N_T and N_L of sample i, then (N_L - 1) * log10(O), exactly 0 for a
     single layer; y[i] is log10 of its label.  Logs are taken with
-    math.log10, which np.log10 does not match in the last bit.
+    math.log10, which np.log10 does not match in the last bit.  Each
+    column is streamed from the samples into its array, with no list
+    of the field between them.
     """
-    if len(samples) == 0:
+    n = len(samples)
+    if n == 0:
         raise ValueError("no samples")
-    c = _Columns(samples)
-    L_ref = np.array(c.L_ref)
+    L_ref = np.fromiter((sample.L_ref for sample in samples), float, n)
     bad = np.flatnonzero(~((L_ref > 0.0) & np.isfinite(L_ref)))
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"sample {i}: L_ref must be positive and finite, got {c.L_ref[i]}")
+        raise ValueError(f"sample {i}: L_ref must be positive and finite, got {samples[i].L_ref}")
+
+    def column(values):
+        return np.fromiter(values, float, n)
+
     log10 = math.log10
-    X = np.empty((len(samples), len(FEATURE_NAMES)))
+    X = np.empty((n, len(FEATURE_NAMES)))
     X[:, 0] = 1.0
-    X[:, 1] = list(map(log10, c.D1))
-    X[:, 2] = list(map(log10, c.D2))
-    # NumPy adds and halves exactly as Python floats do; only the log
-    # must stay per element.
-    X[:, 3] = list(map(log10, mean_side(np.array(c.D1), np.array(c.d1)).tolist()))
-    X[:, 4] = list(map(log10, mean_side(np.array(c.D2), np.array(c.d2)).tolist()))
-    X[:, 5] = list(map(log10, c.w))
-    X[:, 6] = list(map(log10, c.s))
-    X[:, 7] = list(map(log10, c.NT))
-    X[:, 8] = list(map(log10, c.NL))
-    X[:, 9] = [0.0 if nl == 1 else (nl - 1) * log10(gap) for nl, gap in zip(c.NL, c.gap)]
-    y = np.array(list(map(log10, c.L_ref)))
+    X[:, 1] = column(log10(s.geometry.D1) for s in samples)
+    X[:, 2] = column(log10(s.geometry.D2) for s in samples)
+    X[:, 3] = column(log10(mean_side(s.geometry.D1, s.geometry.d1)) for s in samples)
+    X[:, 4] = column(log10(mean_side(s.geometry.D2, s.geometry.d2)) for s in samples)
+    X[:, 5] = column(log10(s.geometry.w) for s in samples)
+    X[:, 6] = column(log10(s.geometry.s) for s in samples)
+    X[:, 7] = column(log10(s.geometry.n_turns) for s in samples)
+    X[:, 8] = column(log10(s.geometry.n_layers) for s in samples)
+    X[:, 9] = column(0.0 if g.n_layers == 1 else (g.n_layers - 1) * log10(g.layer_gap)
+                     for g in (s.geometry for s in samples))
+    y = column(log10(s.L_ref) for s in samples)
     return X, y
 
 
@@ -254,13 +239,18 @@ def evaluate(
     if len(samples) == 0:
         raise ValueError("no samples to evaluate")
     _check_report_settings(threshold_pct, bin_width_pct)
-    c = _Columns(samples)
-    layers = np.array(c.NL)
-    L_model = np.empty(len(samples))
+    n = len(samples)
+    layers = np.fromiter((s.geometry.n_layers for s in samples), int, n)
+    L_model = np.empty(n)
     # Float columns, N_T too: an int array cannot take a negative integer
     # exponent.  None (no gap, single layer) becomes NaN and is never read.
-    columns = [np.array(v, dtype=float) for v in (c.D1, c.D2, c.d1, c.d2, c.w, c.s, c.NT)]
-    gaps = np.array(c.gap, dtype=float)
+    columns = [np.fromiter(values, float, n) for values in (
+        (s.geometry.D1 for s in samples), (s.geometry.D2 for s in samples),
+        (s.geometry.d1 for s in samples), (s.geometry.d2 for s in samples),
+        (s.geometry.w for s in samples), (s.geometry.s for s in samples),
+        (s.geometry.n_turns for s in samples),
+    )]
+    gaps = np.fromiter((s.geometry.layer_gap for s in samples), float, n)
     layer_counts = np.unique(layers).tolist()
     # The kernel takes one layer count per call.
     for nl in layer_counts:
@@ -271,7 +261,7 @@ def evaluate(
         )
     require_in_range(float(L_model.min()))
     require_in_range(float(L_model.max()))
-    L_ref = np.array(c.L_ref)
+    L_ref = np.fromiter((s.L_ref for s in samples), float, n)
     errors = (L_ref - L_model) / L_ref * 100.0
     mean, std, mae = float(errors.mean()), float(errors.std()), float(np.abs(errors).mean())
     # A model value far enough from its label overflows an error or a statistic of them.

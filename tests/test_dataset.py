@@ -833,3 +833,135 @@ def test_records_are_slotted_frozen_and_hashable():
         assert len({record, twin}) == 1
     assert sample() != dataclasses.replace(sample(), source="simulated")
     assert geometry() != dataclasses.replace(geometry(), n_layers=3)
+
+
+# Texts of one cell value that a reader must take alike: bare, padded or quoted.
+_CELL_STYLES = ("{}", " {}", "{} ", '"{}"', '" {} "')
+
+
+@st.composite
+def _corpus_rows(draw):
+    """Rows of a sample CSV, few distinct values per column, in random order.
+
+    Drawn from small value lists, consecutive rows repeat some cells and
+    alternate others, as a parameter sweep does.  Every row is valid.
+    """
+    sides = draw(_distinct(st.sampled_from([70.0, 80.0, 100.5, 120.25]), 3))
+    widths = draw(_distinct(st.sampled_from([0.5, 3.0, 4.0]), 2))
+    spacings = draw(_distinct(st.sampled_from([0.1, 0.3, 0.5]), 2))
+    gaps = draw(_distinct(st.sampled_from([0.5, 1.0, 1.5]), 2))
+    layers = draw(_distinct(st.integers(1, 3), 3))
+    number = st.sampled_from(["%.4f", "%g", "%.2f"])
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        D1, D2 = sorted(draw(st.sampled_from(sides)) for _ in range(2))
+        w, s = draw(st.sampled_from(widths)), draw(st.sampled_from(spacings))
+        nt, nl = draw(st.integers(1, 6)), draw(st.sampled_from(layers))
+        fmt = draw(number)
+        cells = [fmt % D1, fmt % D2, "%.4f" % inner_side(D1, nt, w, s),
+                 "%.4f" % inner_side(D2, nt, w, s), fmt % w, fmt % s, str(nt), str(nl),
+                 fmt % draw(st.sampled_from(gaps)) if nl > 1 else "",
+                 "%.12g" % draw(st.floats(1e-3, 1e3)), draw(st.sampled_from(SOURCES))]
+        rows.append([cell if cell == "" else draw(st.sampled_from(_CELL_STYLES)).format(cell)
+                     for cell in cells])
+    # Repeat rows in place and move them about: repeated, alternating and shuffled cells.
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=30))
+    return draw(st.permutations([rows[i] for i in picks])) if draw(st.booleans()) \
+        else [rows[i] for i in picks]
+
+
+def _write_lines(path, rows):
+    path.write_text("\n".join([",".join(CSV_HEADER)] + [",".join(row) for row in rows]) + "\n")
+
+
+_SHARED_LENGTHS = {0: "D1", 1: "D2", 4: "w", 5: "s", 8: "layer_gap"}
+
+
+@given(rows=_corpus_rows())
+def test_readers_equal_the_per_row_reference_on_repeated_cells(rows):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "samples.csv"
+        _write_lines(path, rows)
+        samples = read_csv(path)
+        geometries = read_geometry_csv(path)
+        reference = _parent_read_csv(path)
+        assert geometries == _parent_read_geometry_csv(path) == [s.geometry for s in reference]
+        cells = list(csv.reader(path.read_text().splitlines()[1:]))
+    assert len(samples) == len(reference) == len(rows)
+    for sample, want in zip(samples, reference):
+        for name in ("D1", "D2", "d1", "d2", "w", "s", "n_turns", "n_layers", "layer_gap"):
+            got, expected = getattr(sample.geometry, name), getattr(want.geometry, name)
+            assert type(got) is type(expected) and got == expected
+        assert sample.L_ref.hex() == want.L_ref.hex()
+        assert sample.source == want.source
+        assert any(sample.source is name for name in SOURCES)
+    # A length cell that repeats the cell above it shares that row's float.
+    for read in ([s.geometry for s in samples], geometries):
+        for above, below, cells_above, cells_below in zip(read, read[1:], cells, cells[1:]):
+            for column, name in _SHARED_LENGTHS.items():
+                if cells_below[column] == cells_above[column] and cells_below[column].strip():
+                    assert getattr(below, name) is getattr(above, name)
+
+
+def test_equal_length_cells_on_consecutive_rows_share_one_float(tmp_path):
+    path = tmp_path / "ab.csv"
+    write_csv(synth_labels(default_corpus(), DEFAULT_COEFFICIENTS, 0.0086, 3), path)
+    samples = read_csv(path)
+    geometries = [sample.geometry for sample in samples]
+    for read in (geometries, read_geometry_csv(path)):
+        for above, below in zip(read, read[1:]):
+            for name in ("D1", "D2", "w", "s"):
+                if getattr(below, name) == getattr(above, name):
+                    assert getattr(below, name) is getattr(above, name)
+            if below.layer_gap is not None and below.layer_gap == above.layer_gap:
+                assert below.layer_gap is above.layer_gap
+    # Corpus AB holds 10 side lengths, 3 widths and 3 spacings, and runs of them.
+    for name, distinct in (("D1", 10), ("w", 3), ("s", 3)):
+        objects = {id(getattr(g, name)) for g in geometries}
+        assert distinct <= len(objects) < len(geometries) // 10
+    assert all(any(sample.source is name for name in SOURCES) for sample in samples)
+
+
+def test_generated_windings_share_one_float_per_value():
+    for spec in (dataset_a_spec(), dataset_b_spec(), dataset_c_spec()):
+        geometries = generate_grid(spec)
+        for name in ("D1", "D2", "w", "s", "layer_gap"):
+            values = [getattr(g, name) for g in geometries if getattr(g, name) is not None]
+            assert len({id(v) for v in values}) == len(set(values))
+
+
+# A valid two-layer row, with each cell of the bad row given by index.
+_GOOD_ROW = ["70.0000", "80.0000", "29.0000", "39.0000", "3.0000", "0.5000",
+             "6", "2", "1.0000", "2.5", "synthetic"]
+
+
+def _row(**cells):
+    row = list(_GOOD_ROW)
+    for index, text in cells.items():
+        row[int(index[1:])] = text
+    return row
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # A bad cell right after a repeated one: the repeat is not parsed again.
+    ([_GOOD_ROW, _row(c1="eighty")], 3, "D2_mm is not a number: 'eighty'"),
+    ([_GOOD_ROW, _GOOD_ROW, _row(c5=" 0.5.0 ")], 4, "s_mm is not a number: '0.5.0'"),
+    ([_GOOD_ROW, _row(c6="six")], 3, "N_T is not an integer: 'six'"),
+    # "-0" is not the text "0", nor any text above it.
+    ([_GOOD_ROW, _row(c0="0", c8="-0")], 3,
+     "layer_gap must be positive and finite, got -0.0"),
+    ([_GOOD_ROW, _row(c0="0")], 3,
+     "lengths must be positive and finite, got D=0.0, w=0.003, s=0.0005"),
+    # nan in a column that repeated on the rows above.
+    ([_GOOD_ROW, _GOOD_ROW, _row(c4="nan")], 4,
+     "lengths must be positive and finite, got D=0.07, w=nan, s=0.0005"),
+    ([_GOOD_ROW, _row(c2="17.0000", c3="27.0000", c4="4.0000"), _row(c8="nan")], 4,
+     "layer_gap must be positive and finite, got nan"),
+])
+def test_errors_after_repeated_cells_equal_the_reference(tmp_path, rows, line, message):
+    path = tmp_path / "samples.csv"
+    _write_lines(path, rows)
+    want = ("error", (f"{path}:{line}: {message}", line))
+    assert _outcome(_parent_read_csv, path) == want
+    assert _outcome(read_csv, path) == want
+    assert _outcome(read_geometry_csv, path) == _outcome(_parent_read_geometry_csv, path) == want

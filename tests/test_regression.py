@@ -30,6 +30,7 @@ from planarwind import (
     synth_labels,
 )
 from planarwind import regression
+from planarwind.estimator import inductance_from_dims
 from planarwind.units import mm_to_m
 
 
@@ -103,6 +104,73 @@ def _parent_fit_and_evaluate(samples, fraction=0.8, seed=0, threshold_pct=5.0,
     return coefficients, report
 
 
+class _Columns:
+    """The fields of a list of samples, each pulled out once as a list.
+
+    With the two functions below, the list-based column extraction that
+    streaming each field into its array replaced, kept as the reference
+    whose arrays and reports must equal the streamed ones bit for bit.
+    """
+
+    def __init__(self, samples):
+        geometries = [sample.geometry for sample in samples]
+        self.D1 = [g.D1 for g in geometries]
+        self.D2 = [g.D2 for g in geometries]
+        self.d1 = [g.d1 for g in geometries]
+        self.d2 = [g.d2 for g in geometries]
+        self.w = [g.w for g in geometries]
+        self.s = [g.s for g in geometries]
+        self.NT = [g.n_turns for g in geometries]
+        self.NL = [g.n_layers for g in geometries]
+        self.gap = [g.layer_gap for g in geometries]
+        self.L_ref = [sample.L_ref for sample in samples]
+
+
+def _columns_build_design_matrix(samples):
+    c = _Columns(samples)
+    log10 = math.log10
+    X = np.empty((len(samples), len(regression.FEATURE_NAMES)))
+    X[:, 0] = 1.0
+    X[:, 1] = list(map(log10, c.D1))
+    X[:, 2] = list(map(log10, c.D2))
+    X[:, 3] = list(map(log10, ((np.array(c.D1) + np.array(c.d1)) / 2.0).tolist()))
+    X[:, 4] = list(map(log10, ((np.array(c.D2) + np.array(c.d2)) / 2.0).tolist()))
+    X[:, 5] = list(map(log10, c.w))
+    X[:, 6] = list(map(log10, c.s))
+    X[:, 7] = list(map(log10, c.NT))
+    X[:, 8] = list(map(log10, c.NL))
+    X[:, 9] = [0.0 if nl == 1 else (nl - 1) * log10(gap) for nl, gap in zip(c.NL, c.gap)]
+    return X, np.array(list(map(log10, c.L_ref)))
+
+
+def _columns_evaluate(samples, coefficients, threshold_pct=5.0, bin_width_pct=0.5):
+    c = _Columns(samples)
+    layers = np.array(c.NL)
+    L_model = np.empty(len(samples))
+    columns = [np.array(v, dtype=float) for v in (c.D1, c.D2, c.d1, c.d2, c.w, c.s, c.NT)]
+    gaps = np.array(c.gap, dtype=float)
+    layer_counts = np.unique(layers).tolist()
+    for nl in layer_counts:
+        rows = layers == nl
+        L_model[rows] = inductance_from_dims(
+            *(column[rows] for column in columns), nl,
+            gaps[rows] if nl > 1 else None, coefficients=coefficients,
+        )
+    L_ref = np.array(c.L_ref)
+    errors = (L_ref - L_model) / L_ref * 100.0
+    return regression.FitReport(
+        coefficients=coefficients,
+        mean_error_pct=float(errors.mean()),
+        std_error_pct=float(errors.std()),
+        mae_pct=float(np.abs(errors).mean()),
+        threshold_pct=threshold_pct,
+        histogram=regression._histogram(errors, bin_width_pct),
+        exceedance_by_NL={nl: int(np.sum((np.abs(errors) > threshold_pct) & (layers == nl)))
+                          for nl in layer_counts},
+        n_eval=len(samples),
+    )
+
+
 def _distinct(values, max_size):
     return st.lists(values, min_size=1, max_size=max_size, unique=True).map(tuple)
 
@@ -139,6 +207,35 @@ def test_design_matrix_equals_parent_rows_bit_for_bit(corpus):
     y_parent = np.array([row[9] for row in rows])
     assert X.tobytes() == X_parent.tobytes()
     assert y.tobytes() == y_parent.tobytes()
+
+
+# Lengths (mm) whose log10 in meters np.log10 and math.log10 round apart, so
+# that a column logged with NumPy would not equal its reference.
+_LOG10_SPLIT_SPEC = GridSpec(
+    D1_values=(70.0685, 70.137), D2_values=(70.2877, 70.3151), w_values=(0.8425, 1.2946),
+    s_values=(0.5843, 0.1), O_values=(0.4096, 0.5877), NT_values=(6, 8), NL_values=(1, 2, 3),
+)
+
+
+@pytest.mark.parametrize("corpus", ["AB", "mixed layers", "one row"])
+def test_streamed_columns_equal_the_column_lists_bit_for_bit(corpus):
+    if corpus == "AB":
+        samples = synth_labels(_corpus_ab(), DEFAULT_COEFFICIENTS, 0.0086, 3)
+    else:
+        samples = synth_labels(generate_grid(_LOG10_SPLIT_SPEC), DEFAULT_COEFFICIENTS, 0.0086, 5)
+        assert {sample.geometry.n_layers for sample in samples} == {1, 2, 3}
+        if corpus == "one row":
+            samples = samples[-1:]
+    X, y = build_design_matrix(samples)
+    X_ref, y_ref = _columns_build_design_matrix(samples)
+    assert X.tobytes() == X_ref.tobytes()
+    assert y.tobytes() == y_ref.tobytes()
+    coefficients = replace(DEFAULT_COEFFICIENTS, a8=1.7, a9=-0.02)
+    for threshold, width in ((5.0, 0.5), (1.0, 0.1)):
+        # JSON text, so that a float differing in sign or last bit differs too.
+        report = evaluate(samples, coefficients, threshold, width).to_mapping()
+        reference = _columns_evaluate(samples, coefficients, threshold, width).to_mapping()
+        assert json.dumps(report) == json.dumps(reference)
 
 
 @given(labeled_grids())
