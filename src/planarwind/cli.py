@@ -111,6 +111,12 @@ class _Stager:
     mode the temporary takes (a new one gets 0o666 less the umask).  commit
     renames the temporaries over their targets in order, so the later of a
     repeated target wins; discard removes every temporary still on disk.
+
+    Only a command that fails before commit changes no target.  The renames
+    are not one atomic step: if one raises, or the process dies between two,
+    the targets renamed before it are replaced and the rest are not.  A
+    rename puts a new inode in place, so an existing target's owner is not
+    kept, and its other hard links keep the old content.
     """
 
     def __init__(self):

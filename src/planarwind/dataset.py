@@ -216,12 +216,14 @@ def split_train_eval(samples: Sequence, fraction: float, seed: int) -> SplitAssi
     evaluate. Same seed and length give the same split on any platform.
 
     Raises:
-        ValueError: if fraction is outside (0, 1) or either side would be
-            empty.
+        ValueError: if fraction is outside (0, 1), either side would be
+            empty, or seed is not an integer >= 0.
     """
     n = len(samples)
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if n < 2:
         raise ValueError(f"need at least 2 samples to split, got {n}")
     n_train = int(round(fraction * n))
@@ -251,9 +253,15 @@ def synth_labels(
     label is a model value, in (0, inf) by :func:`require_in_range`; a noise
     factor 10**eps past the float range counts as inf, as one below it
     counts as 0.0.
+
+    Raises:
+        ValueError: if noise_sigma is not finite and >= 0, or seed is not
+            an integer >= 0.
     """
-    if noise_sigma < 0.0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, noise_sigma, size=len(geometries))
     return [

@@ -31,8 +31,10 @@ from planarwind import (
     write_geometry_csv,
 )
 from planarwind.dataset import CSV_HEADER
-from planarwind.geometry import GeometryError, inner_side, meets_min_inner
-from planarwind.units import h_to_uh, m_to_mm, mm_to_m, uh_to_h
+from planarwind.geometry import inner_side
+from planarwind.units import mm_to_m
+
+import reference
 
 
 def small_spec(**overrides):
@@ -270,9 +272,19 @@ class TestSynthLabels:
         for sample, e in zip(synth_labels(geometries, DEFAULT_COEFFICIENTS, 0.0086, 5), eps):
             assert sample.L_ref == inductance(sample.geometry, DEFAULT_COEFFICIENTS) * 10.0 ** e
 
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            synth_labels([], DEFAULT_COEFFICIENTS, -0.01)
+    @pytest.mark.parametrize("setting, message", [
+        ({"noise_sigma": -0.01}, "noise_sigma must be >= 0 and finite, got -0.01"),
+        ({"noise_sigma": math.nan}, "noise_sigma must be >= 0 and finite, got nan"),
+        ({"noise_sigma": math.inf}, "noise_sigma must be >= 0 and finite, got inf"),
+        # True is an int to Python, and would label as seed 1.
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ])
+    def test_rejects_a_bad_noise_sigma_or_seed(self, setting, message):
+        with pytest.raises(ValueError) as caught:
+            synth_labels(generate_grid(small_spec()), DEFAULT_COEFFICIENTS, **setting)
+        assert type(caught.value) is ValueError and str(caught.value) == message
 
     def test_sample_validation(self):
         g = WindingGeometry(0.1, 0.1, 0.004, 0.002, 5, 1)
@@ -499,34 +511,6 @@ def test_csv_roundtrip_property(spec, noise, seed, sources):
         assert restored.L_ref == pytest.approx(original.L_ref, rel=1e-11)
 
 
-def _parent_generate_grid(spec):
-    """The nested-loop generate_grid that the single product loop replaced."""
-    min_inner_m = mm_to_m(spec.min_inner)
-    out = []
-    for D1 in spec.D1_values:
-        for D2 in spec.D2_values:
-            if D1 > D2:
-                continue
-            for w in spec.w_values:
-                for s in spec.s_values:
-                    for nt in spec.NT_values:
-                        d1 = inner_side(mm_to_m(D1), nt, mm_to_m(w), mm_to_m(s))
-                        if d1 <= 0.0 or not meets_min_inner(d1, min_inner_m, spec.strict_inner):
-                            continue
-                        for nl in spec.NL_values:
-                            if nl == 1:
-                                out.append(WindingGeometry(
-                                    mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s), nt, 1,
-                                ))
-                            else:
-                                for gap in spec.O_values:
-                                    out.append(WindingGeometry(
-                                        mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s),
-                                        nt, nl, mm_to_m(gap),
-                                    ))
-    return out
-
-
 @st.composite
 def _edge_grid_specs(draw):
     """Random grid specs, one of whose outer sides puts d1 exactly on min_inner.
@@ -556,7 +540,7 @@ def _edge_grid_specs(draw):
 
 @given(spec=_edge_grid_specs())
 def test_generate_grid_matches_the_nested_loop(spec):
-    assert generate_grid(spec) == _parent_generate_grid(spec)
+    assert generate_grid(spec) == reference.generate_grid(spec)
 
 
 _LENGTHS = st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=4, unique=True)
@@ -576,126 +560,6 @@ def test_grid_spec_mapping_roundtrip(D1, D2, w, s, O, NT, NL, min_inner, strict)
     assert GridSpec.from_mapping(spec.to_mapping()) == spec
     # The mapping is a JSON document: it survives a trip through the text.
     assert GridSpec.from_mapping(json.loads(json.dumps(spec.to_mapping()))) == spec
-
-
-# The CSV writer and reader that the one-format-call writer and the
-# one-conversion reader replaced, kept as the references their bytes and
-# error messages must equal.
-
-def _parent_format_row(geometry, L_uH, source):
-    g = geometry
-    gap = f"{m_to_mm(g.layer_gap):.4f}" if g.layer_gap is not None else ""
-    return [
-        f"{m_to_mm(g.D1):.4f}", f"{m_to_mm(g.D2):.4f}", f"{m_to_mm(g.d1):.4f}",
-        f"{m_to_mm(g.d2):.4f}", f"{m_to_mm(g.w):.4f}", f"{m_to_mm(g.s):.4f}",
-        str(g.n_turns), str(g.n_layers), gap, L_uH, source,
-    ]
-
-
-def _parent_write_rows(path, rows):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
-
-
-def _parent_write_csv(samples, path):
-    _parent_write_rows(path, (
-        _parent_format_row(sample.geometry, f"{h_to_uh(sample.L_ref):.12g}", sample.source)
-        for sample in samples
-    ))
-
-
-def _parent_write_geometry_csv(geometries, path):
-    _parent_write_rows(path, (_parent_format_row(geometry, "", "") for geometry in geometries))
-
-
-def _parent_parse_float(path, line, name, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise SampleFileError(path, line, f"{name} is not a number: {text!r}") from None
-
-
-def _parent_parse_geometry(path, line, row):
-    lengths = []
-    for name, text in zip(CSV_HEADER[:6], row[:6]):
-        try:
-            lengths.append(float(text))
-        except ValueError:
-            raise SampleFileError(path, line, f"{name} is not a number: {text.strip()!r}") from None
-    D1, D2, d1, d2, w, s = lengths
-    counts = []
-    for name, text in zip(CSV_HEADER[6:8], row[6:8]):
-        try:
-            counts.append(int(text))
-        except ValueError:
-            raise SampleFileError(path, line, f"{name} is not an integer: {text.strip()!r}") from None
-    nt, nl = counts
-    gap_text = row[8].strip()
-    if nl == 1 and gap_text != "":
-        raise SampleFileError(path, line, f"O_mm must be empty for a single-layer row, got {gap_text!r}")
-    if nl >= 2 and gap_text == "":
-        raise SampleFileError(path, line, f"O_mm is required for N_L={nl}")
-    gap = _parent_parse_float(path, line, "O_mm", gap_text) if gap_text != "" else None
-    try:
-        geometry = WindingGeometry(
-            mm_to_m(D1), mm_to_m(D2), mm_to_m(w), mm_to_m(s), nt, nl,
-            mm_to_m(gap) if gap is not None else None,
-        )
-    except GeometryError as exc:
-        raise SampleFileError(path, line, str(exc)) from None
-    for name, given_mm, derived in (("d1_mm", d1, geometry.d1), ("d2_mm", d2, geometry.d2)):
-        if not abs(given_mm - m_to_mm(derived)) <= 1e-3:
-            raise SampleFileError(
-                path, line,
-                f"{name}={given_mm} does not match the value derived from the "
-                f"outer side and turns ({m_to_mm(derived):.4f})",
-            )
-    return geometry
-
-
-def _parent_read_rows(path):
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SampleFileError(path, 1, "empty file, expected a header row") from None
-        if tuple(cell.strip() for cell in header) != CSV_HEADER:
-            raise SampleFileError(path, 1, f"bad header, expected {','.join(CSV_HEADER)}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise SampleFileError(path, line, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-            yield line, row
-
-
-def _parent_read_csv(path):
-    samples = []
-    for line, row in _parent_read_rows(path):
-        geometry = _parent_parse_geometry(path, line, row)
-        label = row[9].strip()
-        if label == "":
-            raise SampleFileError(path, line, "missing label L_uH")
-        L_uH = _parent_parse_float(path, line, "L_uH", label)
-        if not (L_uH > 0.0 and math.isfinite(L_uH)):
-            raise SampleFileError(path, line, f"L_uH must be positive and finite, got {L_uH}")
-        # Not in the replaced reader, whose Sample raised with no line: the rule since.
-        if uh_to_h(L_uH) == 0.0:
-            raise SampleFileError(path, line, f"L_uH = {L_uH} underflows to 0.0 H")
-        source = row[10].strip()
-        if source not in SOURCES:
-            raise SampleFileError(
-                path, line, f"source must be one of {', '.join(SOURCES)}, got {source!r}"
-            )
-        samples.append(Sample(geometry=geometry, L_ref=uh_to_h(L_uH), source=source))
-    return samples
-
-
-def _parent_read_geometry_csv(path):
-    return [_parent_parse_geometry(path, line, row) for line, row in _parent_read_rows(path)]
 
 
 @st.composite
@@ -726,9 +590,9 @@ def test_writers_match_the_csv_writer_reference(samples):
             write(records, path)
             return path.read_bytes()
 
-        assert written(write_csv, samples) == written(_parent_write_csv, samples)
+        assert written(write_csv, samples) == written(reference.write_csv, samples)
         assert written(write_geometry_csv, geometries) == \
-            written(_parent_write_geometry_csv, geometries)
+            written(reference.write_geometry_csv, geometries)
 
 
 # Corruptions of one cell: (columns it may hit, values it may write).
@@ -810,8 +674,8 @@ def test_readers_raise_the_reference_errors(kind, value, spec, seed, source, dat
         lines[index + 1] = ",".join(row)
         path.write_text("\n".join(lines) + "\n")
         samples_back = _outcome(read_csv, path)
-        assert samples_back == _outcome(_parent_read_csv, path)
-        assert _outcome(read_geometry_csv, path) == _outcome(_parent_read_geometry_csv, path)
+        assert samples_back == _outcome(reference.read_csv, path)
+        assert _outcome(read_geometry_csv, path) == _outcome(reference.read_geometry_csv, path)
     if must_fail:
         assert samples_back[0] == "error" and samples_back[1][1] == index + 2
 
@@ -884,11 +748,11 @@ def test_readers_equal_the_per_row_reference_on_repeated_cells(rows):
         _write_lines(path, rows)
         samples = read_csv(path)
         geometries = read_geometry_csv(path)
-        reference = _parent_read_csv(path)
-        assert geometries == _parent_read_geometry_csv(path) == [s.geometry for s in reference]
+        wanted = reference.read_csv(path)
+        assert geometries == reference.read_geometry_csv(path) == [s.geometry for s in wanted]
         cells = list(csv.reader(path.read_text().splitlines()[1:]))
-    assert len(samples) == len(reference) == len(rows)
-    for sample, want in zip(samples, reference):
+    assert len(samples) == len(wanted) == len(rows)
+    for sample, want in zip(samples, wanted):
         for name in ("D1", "D2", "d1", "d2", "w", "s", "n_turns", "n_layers", "layer_gap"):
             got, expected = getattr(sample.geometry, name), getattr(want.geometry, name)
             assert type(got) is type(expected) and got == expected
@@ -962,6 +826,6 @@ def test_errors_after_repeated_cells_equal_the_reference(tmp_path, rows, line, m
     path = tmp_path / "samples.csv"
     _write_lines(path, rows)
     want = ("error", (f"{path}:{line}: {message}", line))
-    assert _outcome(_parent_read_csv, path) == want
+    assert _outcome(reference.read_csv, path) == want
     assert _outcome(read_csv, path) == want
-    assert _outcome(read_geometry_csv, path) == _outcome(_parent_read_geometry_csv, path) == want
+    assert _outcome(read_geometry_csv, path) == _outcome(reference.read_geometry_csv, path) == want

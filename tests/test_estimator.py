@@ -27,6 +27,8 @@ from planarwind import (
 from planarwind.estimator import require_in_range
 from planarwind.units import mm_to_m
 
+import reference
+
 # Reference windings with their model inductances, frozen from this
 # implementation.  Dimensions in mm, L in uH.
 GOLDEN = [
@@ -278,40 +280,6 @@ def test_named_coefficient_sets():
     )
 
 
-def _parent_simplified(g):
-    # The closed form of the simplified model before it became a
-    # coefficient set on the kernel; kept as the reference for it.
-    Dbar1 = (g.D1 + g.d1) / 2.0
-    Dbar2 = (g.D2 + g.d2) / 2.0
-    value = (
-        1.7274
-        * MU0
-        * g.D1 ** -0.592
-        * g.D2 ** -0.378
-        * Dbar1 ** 1.175
-        * Dbar2 ** 1.072
-        * g.w ** -0.183
-        * (g.n_turns * g.n_layers) ** 1.8
-    )
-    if g.n_layers > 1:
-        value *= g.layer_gap ** (-0.006 * (g.n_layers - 1))
-    return value
-
-
-def _parent_mohan(D, d, w, s, n_turns):
-    # The closed form of mohan_inductance before it moved onto the kernel.
-    Dbar = (D + d) / 2.0
-    return (
-        1.5428
-        * MU0
-        * D ** -1.21
-        * Dbar ** 2.4
-        * w ** -0.147
-        * s ** -0.03
-        * n_turns ** 1.78
-    )
-
-
 @st.composite
 def windings(draw, n_layers=st.integers(1, 6)):
     """A random feasible winding, in meters."""
@@ -330,14 +298,14 @@ def windings(draw, n_layers=st.integers(1, 6)):
 def test_simplified_matches_the_parent_closed_form(g):
     # The kernel raises N_T and N_L to 1.8 separately, and
     # N_T^1.8 * N_L^1.8 can differ from (N_T * N_L)^1.8 in the last bit.
-    parent = _parent_simplified(g)
+    parent = reference.inductance_simplified(g)
     assert abs(inductance(g, SIMPLIFIED_COEFFICIENTS) - parent) <= 1e-15 * parent
 
 
 @given(g=windings(n_layers=st.just(1)))
 def test_mohan_matches_the_parent_closed_form_bit_for_bit(g):
     for D, d in ((g.D1, g.d1), (g.D2, g.d2)):
-        assert mohan_inductance(D, d, g.w, g.s, g.n_turns) == _parent_mohan(
+        assert mohan_inductance(D, d, g.w, g.s, g.n_turns) == reference.mohan_inductance(
             D, d, g.w, g.s, g.n_turns
         )
 

@@ -21,16 +21,13 @@ from planarwind import (
     default_problem,
     feasible,
     inductance,
-    inductance_from_dims,
     maximize,
 )
 from planarwind.optimizer import (
     DEFAULT_RESOLUTION,
     MAX_GRID_POINTS,
     _TINY,
-    _axis,
     _axis_layout,
-    _better,
     _box,
     _linear_system,
     _objective,
@@ -38,8 +35,9 @@ from planarwind.optimizer import (
     _result,
     oracle_steps,
 )
-from planarwind.geometry import inner_side
 from planarwind.units import m_to_mm, mm_to_m
+
+import reference
 
 
 def small_problem(**overrides):
@@ -581,22 +579,6 @@ class TestResultSerialization:
         assert mapping["restarts"][0]["L_uH"] is None
 
 
-def _parent_objective(problem, nt, x):
-    # The objective value as computed before gradients were added; the
-    # value function of _objective must reproduce it bit for bit.
-    D1 = max(x[0], _TINY)
-    D2 = max(x[1], _TINY)
-    w = max(x[2], _TINY)
-    s = max(x[3], _TINY)
-    d1 = max(D1 - 2.0 * nt * (w + s) + 2.0 * s, _TINY)
-    d2 = max(D2 - 2.0 * nt * (w + s) + 2.0 * s, _TINY)
-    L = inductance_from_dims(
-        D1, D2, d1, d2, w, s, nt, problem.n_layers, problem.layer_gap,
-        coefficients=problem.coefficients,
-    )
-    return -math.log10(L)
-
-
 _exponent = st.floats(-3.0, 3.0)
 _coefficient_sets = st.builds(
     CoefficientSet,
@@ -630,7 +612,7 @@ def test_objective_gradient_matches_central_differences(coefficients, nt, n_laye
 
     objective, gradient = _objective(problem, nt)
     grad = gradient(x)
-    assert objective(x) == _parent_objective(problem, nt, x)
+    assert objective(x) == reference.objective(problem, nt, x)
     for i in range(4):
         step = np.zeros(4)
         step[i] = h
@@ -690,97 +672,6 @@ def test_default_problem_skips_only_nine_and_ten_turns():
     lo, hi = _box(p)
     skipped = [nt for nt in p.NT_domain if _provably_empty(*_linear_system(p, nt), lo, hi)]
     assert skipped == [9, 10]
-
-
-def _parent_brute_force_max(problem, resolution=None):
-    # The oracle as it was before the per-side factors: the kernel and the
-    # feasibility mask on dense 4-D (D1, D2, w, s) arrays, per N_T.
-    # brute_force_max must return the same best point.
-    steps = oracle_steps(problem, resolution)
-    b = problem.bounds
-    D1 = _axis(*b["D1"], steps["D1"])[:, None, None, None]
-    D2 = _axis(*b["D2"], steps["D2"])[None, :, None, None]
-    w = _axis(*b["w"], steps["w"])[None, None, :, None]
-    s = _axis(*b["s"], steps["s"])[None, None, None, :]
-    best_value = None
-    best_point = None
-    for nt in problem.NT_domain:
-        d1 = inner_side(D1, nt, w, s)
-        d2 = inner_side(D2, nt, w, s)
-        mask = (
-            (D1 < D2)
-            & (d1 > 0.0)
-            & (d2 > 0.0)
-            & (d1 >= b["d1"][0]) & (d1 <= b["d1"][1])
-            & (d2 >= b["d2"][0]) & (d2 <= b["d2"][1])
-        )
-        if not mask.any():
-            continue
-        L = inductance_from_dims(
-            D1, D2, np.maximum(d1, _TINY), np.maximum(d2, _TINY), w, s,
-            nt, problem.n_layers, problem.layer_gap,
-            coefficients=problem.coefficients,
-        )
-        L = np.where(mask, L, -np.inf)
-        flat_index = int(np.argmax(L))
-        value = float(L.reshape(-1)[flat_index])
-        i, j, k, m = np.unravel_index(flat_index, L.shape)
-        point = (
-            float(D1[i, 0, 0, 0]), float(D2[0, j, 0, 0]),
-            float(w[0, 0, k, 0]), float(s[0, 0, 0, m]), nt,
-        )
-        if _better(value, point, best_value, best_point):
-            best_value = value
-            best_point = point
-    if best_point is None:
-        raise InfeasibleProblemError("no feasible grid point in the box at this resolution")
-    return _result(problem, best_point, ())
-
-
-def _factored_brute_force_max(problem, resolution=None):
-    # The oracle as it was before the running-maximum scan: per-side factors
-    # multiplied into one dense (D1, D2, w, s) product per N_T, D1 >= D2
-    # zeroed, and a scan of the feasible points alone when the argmax lands
-    # off them.  brute_force_max must return the same best point.
-    steps = oracle_steps(problem, resolution)
-    b = problem.bounds
-    c = problem.coefficients
-    D1, D2, w, s = (_axis(*b[key], steps[key]) for key in ("D1", "D2", "w", "s"))
-    D1_, D2_, w_, s_ = D1[:, None, None], D2[:, None, None], w[None, :, None], s[None, None, :]
-    below = D1[:, None] < D2[None, :]
-    L = np.empty((D1.size, D2.size, w.size, s.size))
-    best_value = None
-    best_point = None
-    for nt in problem.NT_domain:
-        d1 = inner_side(D1_, nt, w_, s_)
-        d2 = inner_side(D2_, nt, w_, s_)
-        ok1 = (d1 > 0.0) & (d1 >= b["d1"][0]) & (d1 <= b["d1"][1])
-        ok2 = (d2 > 0.0) & (d2 >= b["d2"][0]) & (d2 <= b["d2"][1])
-        if not (ok1.any() and ok2.any()):
-            continue
-        F1 = inductance_from_dims(
-            D1_, 1.0, np.maximum(d1, _TINY), 1.0, 1.0, 1.0, 1, 1, None, coefficients=c,
-        )
-        F2 = inductance_from_dims(
-            1.0, D2_, 1.0, np.maximum(d2, _TINY), w_, s_,
-            nt, problem.n_layers, problem.layer_gap, coefficients=c,
-        )
-        np.multiply(np.where(ok1, F1, 0.0)[:, None], np.where(ok2, F2, 0.0)[None, :], out=L)
-        L[~below] = 0.0
-        i, j, k, m = np.unravel_index(int(np.argmax(L)), L.shape)
-        if not (ok1[i, k, m] and ok2[j, k, m] and below[i, j]):
-            mask = ok1[:, None] & ok2[None, :] & below[:, :, None, None]
-            if not mask.any():
-                continue
-            i, j, k, m = np.unravel_index(int(np.argmax(np.where(mask, L, -np.inf))), L.shape)
-        value = float(L[i, j, k, m])
-        point = (float(D1[i]), float(D2[j]), float(w[k]), float(s[m]), nt)
-        if _better(value, point, best_value, best_point):
-            best_value = value
-            best_point = point
-    if best_point is None:
-        raise InfeasibleProblemError("no feasible grid point in the box at this resolution")
-    return _result(problem, best_point, ())
 
 
 _ORACLE_STEPS = {"D1": 1.0e-3, "D2": 1.0e-3, "w": 0.5e-3, "s": 0.3e-3}
@@ -862,28 +753,26 @@ def test_factored_oracle_matches_the_dense_reference(bounds, NT, NL, gap, coeffi
         bounds, tuple(NT), NL, mm_to_m(gap / 10.0) if NL > 1 else None, coefficients
     )
     try:
-        expected = _parent_brute_force_max(problem, _ORACLE_STEPS)
+        expected = reference.brute_force_max(problem, _ORACLE_STEPS)
     except InfeasibleProblemError:
-        for oracle in (brute_force_max, _factored_brute_force_max):
-            with pytest.raises(InfeasibleProblemError):
-                oracle(problem, _ORACLE_STEPS)
+        with pytest.raises(InfeasibleProblemError):
+            brute_force_max(problem, _ORACLE_STEPS)
         return
     result = brute_force_max(problem, _ORACLE_STEPS)
-    for reference in (expected, _factored_brute_force_max(problem, _ORACLE_STEPS)):
-        if result.best != reference.best:
-            # The side factors multiply in another order than the kernel's one
-            # chain, so two grid points whose L is equal in exact arithmetic
-            # (an exponent of 0, or one of order 1e-16) may round the other
-            # way round; so may two products of one side-2 factor with two
-            # side-1 factors that differ in their last bits.  The two picks
-            # must then tie within 45 float64 ulps, and the pick must be a
-            # feasible point.
-            g = result.best
-            assert feasible((g.D1, g.D2, g.w, g.s, g.n_turns), problem)[0]
-            assert result.L_best == pytest.approx(reference.L_best, rel=1e-14, abs=0.0)
-            continue
-        assert result.L_best == reference.L_best
-        assert result.to_mapping() == reference.to_mapping()
+    if result.best != expected.best:
+        # The side factors multiply in another order than the kernel's one
+        # chain, so two grid points whose L is equal in exact arithmetic
+        # (an exponent of 0, or one of order 1e-16) may round the other
+        # way round; so may two products of one side-2 factor with two
+        # side-1 factors that differ in their last bits.  The two picks
+        # must then tie within 45 float64 ulps, and the pick must be a
+        # feasible point.
+        g = result.best
+        assert feasible((g.D1, g.D2, g.w, g.s, g.n_turns), problem)[0]
+        assert result.L_best == pytest.approx(expected.L_best, rel=1e-14, abs=0.0)
+        return
+    assert result.L_best == expected.L_best
+    assert result.to_mapping() == expected.to_mapping()
 
 
 def _underflowed_pick(monkeypatch, problem):
@@ -906,7 +795,7 @@ def _underflowed_pick(monkeypatch, problem):
     assert caught.type is OverflowError
     # The reference reaches the same verdict.
     with pytest.raises(OverflowError, match=r"^L = 0\.0 H$"):
-        _parent_brute_force_max(problem, _ORACLE_STEPS)
+        reference.brute_force_max(problem, _ORACLE_STEPS)
     assert len(picks) == 1
     return picks[0]
 
@@ -931,10 +820,6 @@ def test_a_side_factor_of_0_is_still_feasible(monkeypatch, exponent):
     coefficients = replace(DEFAULT_COEFFICIENTS, **{exponent: 300.0})
     problem = small_problem(bounds=bounds, coefficients=coefficients)
     assert _underflowed_pick(monkeypatch, problem) == (0.031, 0.032, 0.001, 0.0001, 5)
-
-
-def test_factored_oracle_matches_the_reference_at_default_steps():
-    assert brute_force_max(default_problem()) == _parent_brute_force_max(default_problem())
 
 
 def _binding_problem():
@@ -968,7 +853,7 @@ def test_oracle_memory_is_bounded_per_side_grid_point(problem):
     # d bounds bind.  An array over (D1, D2, w, s) would read |D1| times
     # that, and one N_T's side-grid arrays kept alive into the next N_T's
     # about 3.5 more.
-    assert brute_force_max(problem) == _parent_brute_force_max(problem)
+    assert brute_force_max(problem) == reference.brute_force_max(problem)
     assert _oracle_peak_per_point(problem) <= 8.0
 
 
@@ -986,5 +871,5 @@ def test_oracle_ties_go_to_the_first_grid_point(flat, problem, side, first_mm):
         DEFAULT_COEFFICIENTS, **{name: 0.0 for name in flat}
     ))
     result = brute_force_max(problem)
-    assert result == _parent_brute_force_max(problem)
+    assert result == reference.brute_force_max(problem)
     assert m_to_mm(getattr(result.best, side)) == pytest.approx(first_mm, abs=1e-9)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from planarwind import (
     COEFFICIENT_NAMES,
@@ -26,12 +26,11 @@ from planarwind import (
     generate_grid,
     inductance,
     repeated_fit,
-    split_train_eval,
     synth_labels,
 )
 from planarwind import regression
-from planarwind.estimator import inductance_from_dims
-from planarwind.units import mm_to_m
+
+import reference
 
 
 def fit_corpus(noise=0.0, seed=0):
@@ -52,31 +51,6 @@ def _corpus_ab():
     return tuple(default_corpus())
 
 
-def _parent_design_row(sample):
-    """Logged features and response of one sample, row by row.
-
-    The per-row construction that build_design_matrix replaced, kept as
-    the reference its columns must equal bit for bit.
-    """
-    g = sample.geometry
-    if g.n_layers == 1:
-        x9 = 0.0
-    else:
-        x9 = (g.n_layers - 1) * math.log10(g.layer_gap)
-    return (
-        math.log10(g.D1),
-        math.log10(g.D2),
-        math.log10((g.D1 + g.d1) / 2.0),
-        math.log10((g.D2 + g.d2) / 2.0),
-        math.log10(g.w),
-        math.log10(g.s),
-        math.log10(g.n_turns),
-        math.log10(g.n_layers),
-        x9,
-        math.log10(sample.L_ref),
-    )
-
-
 def error_pct(sample, coefficients):
     """Relative deviation of the model from the label, in percent, one winding at a time.
 
@@ -84,91 +58,6 @@ def error_pct(sample, coefficients):
     """
     L_model = inductance(sample.geometry, coefficients)
     return (sample.L_ref - L_model) / sample.L_ref * 100.0
-
-
-def _parent_fit_and_evaluate(samples, fraction=0.8, seed=0, threshold_pct=5.0,
-                             bin_width_pct=0.5):
-    """One split-fit-evaluate cycle that builds and logs its own training rows.
-
-    The per-split cycle that repeated_fit's one design matrix per corpus
-    replaced, kept as the reference its results must equal bit for bit.
-    """
-    regression._check_report_settings(threshold_pct, bin_width_pct)
-    split = split_train_eval(samples, fraction, seed)
-    train = [samples[i] for i in split.train]
-    held_out = [samples[i] for i in split.eval]
-    X, y = build_design_matrix(train)
-    coefficients = fit_ols(X, y, label=f"ols seed={seed} n_train={len(train)}")
-    report = evaluate(held_out, coefficients, threshold_pct, bin_width_pct)
-    report = replace(report, n_train=len(train), seed=seed, repeats=1)
-    return coefficients, report
-
-
-class _Columns:
-    """The fields of a list of samples, each pulled out once as a list.
-
-    With the two functions below, the list-based column extraction that
-    streaming each field into its array replaced, kept as the reference
-    whose arrays and reports must equal the streamed ones bit for bit.
-    """
-
-    def __init__(self, samples):
-        geometries = [sample.geometry for sample in samples]
-        self.D1 = [g.D1 for g in geometries]
-        self.D2 = [g.D2 for g in geometries]
-        self.d1 = [g.d1 for g in geometries]
-        self.d2 = [g.d2 for g in geometries]
-        self.w = [g.w for g in geometries]
-        self.s = [g.s for g in geometries]
-        self.NT = [g.n_turns for g in geometries]
-        self.NL = [g.n_layers for g in geometries]
-        self.gap = [g.layer_gap for g in geometries]
-        self.L_ref = [sample.L_ref for sample in samples]
-
-
-def _columns_build_design_matrix(samples):
-    c = _Columns(samples)
-    log10 = math.log10
-    X = np.empty((len(samples), len(regression.FEATURE_NAMES)))
-    X[:, 0] = 1.0
-    X[:, 1] = list(map(log10, c.D1))
-    X[:, 2] = list(map(log10, c.D2))
-    X[:, 3] = list(map(log10, ((np.array(c.D1) + np.array(c.d1)) / 2.0).tolist()))
-    X[:, 4] = list(map(log10, ((np.array(c.D2) + np.array(c.d2)) / 2.0).tolist()))
-    X[:, 5] = list(map(log10, c.w))
-    X[:, 6] = list(map(log10, c.s))
-    X[:, 7] = list(map(log10, c.NT))
-    X[:, 8] = list(map(log10, c.NL))
-    X[:, 9] = [0.0 if nl == 1 else (nl - 1) * log10(gap) for nl, gap in zip(c.NL, c.gap)]
-    return X, np.array(list(map(log10, c.L_ref)))
-
-
-def _columns_evaluate(samples, coefficients, threshold_pct=5.0, bin_width_pct=0.5):
-    c = _Columns(samples)
-    layers = np.array(c.NL)
-    L_model = np.empty(len(samples))
-    columns = [np.array(v, dtype=float) for v in (c.D1, c.D2, c.d1, c.d2, c.w, c.s, c.NT)]
-    gaps = np.array(c.gap, dtype=float)
-    layer_counts = np.unique(layers).tolist()
-    for nl in layer_counts:
-        rows = layers == nl
-        L_model[rows] = inductance_from_dims(
-            *(column[rows] for column in columns), nl,
-            gaps[rows] if nl > 1 else None, coefficients=coefficients,
-        )
-    L_ref = np.array(c.L_ref)
-    errors = (L_ref - L_model) / L_ref * 100.0
-    return regression.FitReport(
-        coefficients=coefficients,
-        mean_error_pct=float(errors.mean()),
-        std_error_pct=float(errors.std()),
-        mae_pct=float(np.abs(errors).mean()),
-        threshold_pct=threshold_pct,
-        histogram=regression._histogram(errors, bin_width_pct),
-        exceedance_by_NL={nl: int(np.sum((np.abs(errors) > threshold_pct) & (layers == nl)))
-                          for nl in layer_counts},
-        n_eval=len(samples),
-    )
 
 
 def _distinct(values, max_size):
@@ -198,17 +87,6 @@ def labeled_grids(draw):
     return synth_labels(geometries, coefficients, noise, seed), coefficients
 
 
-@given(labeled_grids())
-def test_design_matrix_equals_parent_rows_bit_for_bit(corpus):
-    samples, _ = corpus
-    X, y = build_design_matrix(samples)
-    rows = [_parent_design_row(sample) for sample in samples]
-    X_parent = np.array([(1.0, *row[:9]) for row in rows])
-    y_parent = np.array([row[9] for row in rows])
-    assert X.tobytes() == X_parent.tobytes()
-    assert y.tobytes() == y_parent.tobytes()
-
-
 # Lengths (mm) whose log10 in meters np.log10 and math.log10 round apart, so
 # that a column logged with NumPy would not equal its reference.
 _LOG10_SPLIT_SPEC = GridSpec(
@@ -217,25 +95,37 @@ _LOG10_SPLIT_SPEC = GridSpec(
 )
 
 
-@pytest.mark.parametrize("corpus", ["AB", "mixed layers", "one row"])
-def test_streamed_columns_equal_the_column_lists_bit_for_bit(corpus):
+@functools.lru_cache(maxsize=None)
+def _labeled(corpus):
+    """Corpus AB, the one- to three-layer grid _LOG10_SPLIT_SPEC or its last row, with noise."""
     if corpus == "AB":
-        samples = synth_labels(_corpus_ab(), DEFAULT_COEFFICIENTS, 0.0086, 3)
-    else:
-        samples = synth_labels(generate_grid(_LOG10_SPLIT_SPEC), DEFAULT_COEFFICIENTS, 0.0086, 5)
-        assert {sample.geometry.n_layers for sample in samples} == {1, 2, 3}
-        if corpus == "one row":
-            samples = samples[-1:]
+        return tuple(synth_labels(_corpus_ab(), DEFAULT_COEFFICIENTS, 0.0086, 3))
+    samples = synth_labels(generate_grid(_LOG10_SPLIT_SPEC), DEFAULT_COEFFICIENTS, 0.0086, 5)
+    assert {sample.geometry.n_layers for sample in samples} == {1, 2, 3}
+    return tuple(samples if corpus == "mixed layers" else samples[-1:])
+
+
+@given(labeled_grids())
+@example((_labeled("AB"), None))
+@example((_labeled("mixed layers"), None))
+@example((_labeled("one row"), None))
+def test_design_matrix_equals_parent_rows_bit_for_bit(corpus):
+    samples, _ = corpus
     X, y = build_design_matrix(samples)
-    X_ref, y_ref = _columns_build_design_matrix(samples)
+    X_ref, y_ref = reference.build_design_matrix(samples)
     assert X.tobytes() == X_ref.tobytes()
     assert y.tobytes() == y_ref.tobytes()
+
+
+@pytest.mark.parametrize("corpus", ["AB", "mixed layers", "one row"])
+def test_streamed_columns_equal_the_column_lists_bit_for_bit(corpus):
+    samples = _labeled(corpus)
     coefficients = replace(DEFAULT_COEFFICIENTS, a8=1.7, a9=-0.02)
     for threshold, width in ((5.0, 0.5), (1.0, 0.1)):
         # JSON text, so that a float differing in sign or last bit differs too.
         report = evaluate(samples, coefficients, threshold, width).to_mapping()
-        reference = _columns_evaluate(samples, coefficients, threshold, width).to_mapping()
-        assert json.dumps(report) == json.dumps(reference)
+        expected = reference.evaluate(samples, coefficients, threshold, width).to_mapping()
+        assert json.dumps(report) == json.dumps(expected)
 
 
 @given(labeled_grids())
@@ -596,14 +486,14 @@ class TestPipelines:
         if repeats == 1:
             assert results[0] == fit_and_evaluate(samples, fraction, seed=7)
         assert len(results) == repeats
-        for i, (coefficients, report) in enumerate(results):
-            want, want_report = _parent_fit_and_evaluate(samples, fraction, seed=7 + i)
+        for (coefficients, report), (want, want_report) in zip(
+            results, reference.repeated_fit(samples, fraction, 7, repeats)
+        ):
             assert coefficients.label == want.label
             assert np.array(coefficients.as_tuple()).tobytes() == \
                 np.array(want.as_tuple()).tobytes()
             # repr, and so JSON, tells every float apart, -0.0 from 0.0 too.
-            assert json.dumps(report.to_mapping()) == \
-                json.dumps(replace(want_report, repeats=repeats).to_mapping())
+            assert json.dumps(report.to_mapping()) == json.dumps(want_report.to_mapping())
 
     @pytest.mark.parametrize("repeats", [True, 2.0, "2", 0])
     def test_repeats_must_be_an_integer(self, repeats):
@@ -626,12 +516,18 @@ class TestPipelines:
         (0, {}, "need at least 2 samples to split, got 0"),
         (1, {}, "need at least 2 samples to split, got 1"),
         (None, {"fraction": 1.0}, "fraction must be in (0, 1), got 1.0"),
+        # True is an int to Python, and would be recorded as the seed true.
+        (None, {"seed": True}, "seed must be an integer >= 0, got True"),
+        (None, {"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        (None, {"seed": -1}, "seed must be an integer >= 0, got -1"),
     ])
     def test_settings_and_corpus_size_are_checked_before_the_fit(self, monkeypatch, fit, size,
                                                                  setting, message):
         def unreachable(samples):
             raise AssertionError("the fit ran")
 
+        if fit is repeated_fit and "seed" in setting:
+            setting = {"base_seed": setting["seed"]}
         samples = fit_corpus()[:size]
         monkeypatch.setattr(regression, "build_design_matrix", unreachable)
         with pytest.raises(ValueError) as caught:
