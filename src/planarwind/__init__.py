@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "geometry": (
         "GeometryError", "IncompleteGeometryError", "InfeasibleGeometryError",
-        "OrientationError", "ValidationCheck", "ValidationReport", "WindingGeometry",
-        "canonicalize", "inner_side", "mean_side", "meets_min_inner", "validate",
+        "OrientationError", "WindingGeometry", "canonicalize", "inner_side", "mean_side",
+        "meets_min_inner",
     ),
     "estimator": (
         "COEFFICIENT_NAMES", "DEFAULT_COEFFICIENTS", "MOHAN_COEFFICIENTS", "MU0",

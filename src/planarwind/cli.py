@@ -110,7 +110,8 @@ class _Stager:
     is followed, and one that exists must be a writable regular file, whose
     mode the temporary takes (a new one gets 0o666 less the umask).  commit
     renames the temporaries over their targets in order, so the later of a
-    repeated target wins; discard removes every temporary still on disk.
+    repeated target wins; discard removes every temporary still on disk that
+    it can, and never raises: one it cannot remove stays behind.
 
     Only a command that fails before commit changes no target.  The renames
     are not one atomic step: if one raises, or the process dies between two,
@@ -153,7 +154,8 @@ class _Stager:
 
     def discard(self) -> None:
         for temporary, _ in self.staged:
-            with contextlib.suppress(FileNotFoundError):
+            # Raised in main's finally, an error would escape main after its error line.
+            with contextlib.suppress(OSError):
                 os.unlink(temporary)
 
 

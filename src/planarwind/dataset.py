@@ -33,9 +33,10 @@ CSV_HEADER = (
 )
 
 # Corpus sizes quoted for the original simulation campaigns on datasets A
-# and B.  Regenerating the grids from their stated value lists and minimum
-# inner side yields different totals whichever way the threshold is read
-# (see tests), so these are reported for comparison, never asserted.
+# and B.  Regenerating the grids from their stated value lists and 17 mm
+# minimum inner side gives neither reading of the threshold: A has 2,060
+# windings with d1 >= 17 mm and 1,970 with d1 > 17 mm, B 3,950 with either.
+# generate_grid keeps d1 >= min_inner; these are reported, never asserted.
 NOMINAL_GRID_COUNTS = {"A": 1800, "B": 4050}
 
 
@@ -60,9 +61,10 @@ class GridSpec:
 
     A winding is generated for every combination of the value lists that
     satisfies canonical orientation (D1 <= D2) and whose inner side d1
-    meets min_inner (d2 >= d1 always, so checking d1 suffices).  O_values
-    apply only to multilayer combinations; single-layer windings carry no
-    gap.  strict_inner selects d1 > min_inner instead of d1 >= min_inner.
+    is at least min_inner (d2 >= d1 always, so checking d1 suffices; see
+    :func:`planarwind.geometry.meets_min_inner`).  O_values apply only to
+    multilayer combinations; single-layer windings carry no gap.  Counts
+    are stored as int, so that a spec of NumPy integers maps to JSON.
     """
 
     D1_values: tuple[float, ...]
@@ -73,7 +75,6 @@ class GridSpec:
     NT_values: tuple[int, ...]
     NL_values: tuple[int, ...]
     min_inner: float = 0.0
-    strict_inner: bool = False
 
     def __post_init__(self) -> None:
         length = (lambda v: 0 < v < math.inf, "positive and finite")
@@ -90,12 +91,12 @@ class GridSpec:
                 raise ValueError(f"{name} must be {wants}, got {values}")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} contains duplicates: {values}")
+        for name in ("NT_values", "NL_values"):
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
         if max(self.NL_values) >= 2 and len(self.O_values) == 0:
             raise ValueError("O_values must not be empty when NL_values includes multilayer counts")
         if not 0 <= self.min_inner < math.inf:
             raise ValueError(f"min_inner must be >= 0 and finite, got {self.min_inner}")
-        if not isinstance(self.strict_inner, bool):
-            raise ValueError(f"strict_inner must be true or false, got {self.strict_inner!r}")
 
     def to_mapping(self) -> dict:
         return {key: list(value) if isinstance(value, tuple) else value
@@ -114,7 +115,6 @@ class GridSpec:
         return cls(
             **values,
             min_inner=json_field("min_inner", mapping.get("min_inner", 0.0), "number"),
-            strict_inner=mapping.get("strict_inner", False),
         )
 
 
@@ -128,7 +128,6 @@ def _standard_spec(side1: tuple, side2: tuple) -> GridSpec:
         NT_values=(6, 8, 10),
         NL_values=(1, 2, 3, 4),
         min_inner=17.0,
-        strict_inner=False,
     )
 
 
@@ -180,7 +179,7 @@ def generate_grid(spec: GridSpec) -> list[WindingGeometry]:
         # GridSpec guarantees positive, finite lengths and N_T >= 1, so the
         # turns fit exactly when d1 > 0 (d2 >= d1 as D2 >= D1).
         d1 = inner_side(D1, nt, w, s)
-        if not (d1 > 0.0 and meets_min_inner(d1, min_inner_m, spec.strict_inner)):
+        if not (d1 > 0.0 and meets_min_inner(d1, min_inner_m)):
             continue
         for nl in spec.NL_values:
             for gap in (None,) if nl == 1 else gaps:
@@ -200,7 +199,7 @@ def default_corpus() -> list[WindingGeometry]:
 
 @dataclass(frozen=True)
 class SplitAssignment:
-    """Index sets of a train/eval split, each sorted ascending."""
+    """Index sets of a train/eval split, each sorted ascending, and its seed as an int."""
 
     train: tuple[int, ...]
     eval: tuple[int, ...]
@@ -235,7 +234,7 @@ def split_train_eval(samples: Sequence, fraction: float, seed: int) -> SplitAssi
     order = np.random.default_rng(seed).permutation(n)
     train = tuple(np.sort(order[:n_train]).tolist())
     eval_ = tuple(np.sort(order[n_train:]).tolist())
-    return SplitAssignment(train=train, eval=eval_, seed=seed, fraction=fraction)
+    return SplitAssignment(train=train, eval=eval_, seed=int(seed), fraction=fraction)
 
 
 def synth_labels(

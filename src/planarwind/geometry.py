@@ -144,8 +144,8 @@ def canonicalize(
     return WindingGeometry(D1, D2, w, s, n_turns, n_layers, layer_gap)
 
 
-def meets_min_inner(d: float, min_inner: float, strict: bool) -> bool:
-    """Compare an inner side length against a minimum, decimal-safe.
+def meets_min_inner(d: float, min_inner: float) -> bool:
+    """True if an inner side length is at least a minimum, decimal-safe.
 
     Grid values are specified in millimeters at no finer than micrometer
     granularity, so both sides are rounded to 1e-6 mm before comparing.
@@ -156,57 +156,5 @@ def meets_min_inner(d: float, min_inner: float, strict: bool) -> bool:
     Args:
         d: inner side length (m).
         min_inner: minimum inner side length (m).
-        strict: require d > min_inner instead of d >= min_inner.
     """
-    dq = round(d * 1e3, 6)
-    mq = round(min_inner * 1e3, 6)
-    return dq > mq if strict else dq >= mq
-
-
-@dataclass(frozen=True)
-class ValidationCheck:
-    """Outcome of one validation rule."""
-
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Results of all validation rules for one geometry."""
-
-    checks: tuple[ValidationCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def failures(self) -> tuple[ValidationCheck, ...]:
-        return tuple(check for check in self.checks if not check.passed)
-
-
-def validate(
-    geometry: WindingGeometry,
-    min_inner: float = 0.0,
-    strict: bool = False,
-) -> ValidationReport:
-    """Check both inner sides of a winding against a minimum.
-
-    The constructor is the one statement of a valid winding, so a
-    constructed geometry can fail only these minimum inner side rules.
-
-    Args:
-        geometry: the winding to check.
-        min_inner: minimum inner side length (m), default 0.
-        strict: require d > min_inner instead of d >= min_inner.
-    """
-    op = ">" if strict else ">="
-    return ValidationReport(checks=tuple(
-        ValidationCheck(
-            name=f"min_inner_{axis}",
-            passed=meets_min_inner(d, min_inner, strict),
-            detail=f"{axis}={d} {op} {min_inner}",
-        )
-        for axis, d in (("d1", geometry.d1), ("d2", geometry.d2))
-    ))
+    return round(d * 1e3, 6) >= round(min_inner * 1e3, 6)

@@ -47,7 +47,7 @@ class OptimizationProblem:
 
     bounds maps each of D1, D2, d1, d2, w, s to (lower, upper) in meters;
     the d bounds apply to the derived inner sides.  N_L and the layer gap
-    are fixed, not searched.
+    are fixed, not searched.  The counts are stored as int.
     """
 
     bounds: Mapping[str, tuple[float, float]]
@@ -76,6 +76,7 @@ class OptimizationProblem:
         object.__setattr__(self, "NT_domain", tuple(sorted(set(int(nt) for nt in self.NT_domain))))
         if not (is_integer(self.n_layers) and self.n_layers >= 1):
             raise ValueError(f"n_layers must be an integer >= 1, got {self.n_layers!r}")
+        object.__setattr__(self, "n_layers", int(self.n_layers))
         if self.n_layers == 1:
             object.__setattr__(self, "layer_gap", None)
         elif self.layer_gap is None or not 0 < self.layer_gap < math.inf:

@@ -41,7 +41,7 @@ def generate_grid(spec):
                 for s in spec.s_values:
                     for nt in spec.NT_values:
                         d1 = inner_side(mm_to_m(D1), nt, mm_to_m(w), mm_to_m(s))
-                        if d1 <= 0.0 or not meets_min_inner(d1, min_inner_m, spec.strict_inner):
+                        if d1 <= 0.0 or not meets_min_inner(d1, min_inner_m):
                             continue
                         for nl in spec.NL_values:
                             if nl == 1:

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import importlib
 import json
 import os
@@ -16,12 +17,16 @@ from planarwind import (
     CoefficientSet,
     GridSpec,
     OptimizationProblem,
+    brute_force_max,
     dataset_a_spec,
     default_problem,
+    fit_and_evaluate,
     generate_grid,
     inductance,
+    maximize,
     read_csv,
     read_geometry_csv,
+    repeated_fit,
     synth_labels,
     write_csv,
     write_geometry_csv,
@@ -597,7 +602,9 @@ REPEATED = object()
     ("optimize", "NL", 4.9),
     ("grid", "NT_values", [6.9]),
     ("grid", "NL_values", [1.5]),
+    # strict_inner is no longer a key: any value of it is rejected as unknown.
     ("grid", "strict_inner", "false"),
+    ("grid", "strict_inner", False),
     ("optimize", "NT", 8),
     ("optimize", "D1", [None, 54]),
     ("optimize", "w", ["2.5", 5]),
@@ -841,6 +848,29 @@ class TestOneOutputStep:
         assert code == 0
         assert sorted(os.listdir()) == ["a.csv", name]
 
+    def test_a_temporary_that_cannot_be_removed_stays_and_one_error_is_reported(
+        self, capsys, folder, monkeypatch
+    ):
+        os.mkdir("sub")
+        sub = os.path.join(os.path.realpath("sub"), "")
+
+        def refused_in_sub(call):
+            def refusing(path, *args):
+                if path.startswith(sub):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return call(path, *args)
+            return refusing
+
+        monkeypatch.setattr(os, "replace", refused_in_sub(os.replace))
+        monkeypatch.setattr(os, "unlink", refused_in_sub(os.unlink))
+        code, stdout, err = run(capsys, "fit", "--in", "a.csv", "--out", "c.json",
+                                "--report", "sub/r.json")
+        assert (code, stdout) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # The renames before the failing one stand (see _Stager).
+        assert sorted(os.listdir()) == ["a.csv", "c.json", "sub"]
+        assert os.listdir("sub") == [f".planarwind.{os.getpid()}.1.tmp"]
+
     def test_stdout_is_written_after_the_files_are_in_place(self, capsys, folder, monkeypatch):
         listings = []
         monkeypatch.setattr(sys.stdout, "write", lambda text: listings.append(os.listdir()))
@@ -890,8 +920,8 @@ def test_importing_one_module_leaves_numpy_and_scipy_unloaded(statement):
 PUBLIC_NAMES = {
     "geometry": [
         "GeometryError", "IncompleteGeometryError", "InfeasibleGeometryError",
-        "OrientationError", "ValidationCheck", "ValidationReport", "WindingGeometry",
-        "canonicalize", "inner_side", "mean_side", "meets_min_inner", "validate",
+        "OrientationError", "WindingGeometry", "canonicalize", "inner_side", "mean_side",
+        "meets_min_inner",
     ],
     "estimator": [
         "COEFFICIENT_NAMES", "DEFAULT_COEFFICIENTS", "MOHAN_COEFFICIENTS", "MU0",
@@ -918,7 +948,7 @@ PUBLIC_NAMES = {
 
 def test_the_package_exports_each_public_name_from_its_module():
     expected = [name for names in PUBLIC_NAMES.values() for name in names] + ["__version__"]
-    assert planarwind.__all__ == expected and len(expected) == 61
+    assert planarwind.__all__ == expected and len(expected) == 58
     for module, names in PUBLIC_NAMES.items():
         source = importlib.import_module(f"planarwind.{module}")
         for name in names:
@@ -929,6 +959,29 @@ def test_the_package_exports_each_public_name_from_its_module():
     assert set(expected) <= set(dir(planarwind))
     with pytest.raises(AttributeError, match="^module 'planarwind' has no attribute 'nothing'$"):
         getattr(planarwind, "nothing")
+
+
+def _labeled_a():
+    """Every seventh winding of dataset A, with noisy model labels."""
+    return synth_labels(generate_grid(dataset_a_spec())[::7], DEFAULT_COEFFICIENTS, 0.0086, 1)
+
+
+def _four_layers():
+    return replace(default_problem(), n_layers=np.int64(4))
+
+
+# Each stores a NumPy integer count or seed as an int, so its mapping is JSON.
+@pytest.mark.parametrize("build", [
+    lambda: fit_and_evaluate(_labeled_a(), 0.8, np.int64(3))[1],
+    lambda: repeated_fit(_labeled_a(), 0.8, np.int64(3), np.int64(2))[0][-1][1],
+    _four_layers,
+    lambda: maximize(_four_layers(), 2, 0),
+    lambda: brute_force_max(_four_layers()),
+    lambda: replace(dataset_a_spec(), NT_values=(np.int64(6),)),
+], ids=["fit_and_evaluate", "repeated_fit", "OptimizationProblem", "maximize",
+        "brute_force_max", "GridSpec"])
+def test_a_mapping_built_from_numpy_integers_is_a_json_document(build):
+    json.dumps(build().to_mapping())
 
 
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -270,7 +270,6 @@ def _spec_values(name):
 def grid_spec_documents(draw):
     values = {f.name: _spec_values(f.name) for f in fields(GridSpec) if f.name.endswith("_values")}
     values["min_inner"] = st.one_of(st.sampled_from([0.0, 17.0, 60.0]), _anything)
-    values["strict_inner"] = st.one_of(st.booleans(), _anything)
     return _edited(draw, SMALL_SPEC.to_mapping(), values)
 
 

@@ -22,17 +22,17 @@ from planarwind import (
     default_corpus,
     generate_grid,
     inductance,
+    meets_min_inner,
     read_csv,
     read_geometry_csv,
     split_train_eval,
     synth_labels,
-    validate,
     write_csv,
     write_geometry_csv,
 )
 from planarwind.dataset import CSV_HEADER
 from planarwind.geometry import inner_side
-from planarwind.units import mm_to_m
+from planarwind.units import m_to_mm, mm_to_m
 
 import reference
 
@@ -47,7 +47,6 @@ def small_spec(**overrides):
         NT_values=(6,),
         NL_values=(1, 2),
         min_inner=0.0,
-        strict_inner=False,
     )
     fields.update(overrides)
     return GridSpec(**fields)
@@ -91,6 +90,11 @@ class TestGridSpec:
         mapping["min_iner"] = mapping.pop("min_inner")
         with pytest.raises(ValueError, match="^grid spec has unknown key 'min_iner'$"):
             GridSpec.from_mapping(mapping)
+        # So is strict_inner, a key of earlier grid specs.
+        mapping = small_spec().to_mapping()
+        mapping["strict_inner"] = False
+        with pytest.raises(ValueError, match="^grid spec has unknown key 'strict_inner'$"):
+            GridSpec.from_mapping(mapping)
         # Missing keys are named before unknown ones.
         del mapping["D1_values"]
         with pytest.raises(ValueError, match="^grid spec is missing D1_values$"):
@@ -100,10 +104,10 @@ class TestGridSpec:
         mapping = dataset_a_spec().to_mapping()
         assert list(mapping) == [
             "D1_values", "D2_values", "w_values", "s_values", "O_values",
-            "NT_values", "NL_values", "min_inner", "strict_inner",
+            "NT_values", "NL_values", "min_inner",
         ]
         assert mapping["NT_values"] == [6, 8, 10] and mapping["O_values"] == [0.5, 1.0, 1.5]
-        assert (mapping["min_inner"], mapping["strict_inner"]) == (17.0, False)
+        assert mapping["min_inner"] == 17.0
 
     @pytest.mark.parametrize("field", ["D1_values", "D2_values", "w_values", "s_values",
                                        "O_values", "min_inner"])
@@ -118,6 +122,7 @@ class TestGridSpec:
         ("NT_values", ["8"]),
         ("NT_values", [True]),
         ("NL_values", [1.5]),
+        # strict_inner is no longer a key: any value of it is rejected as unknown.
         ("strict_inner", "false"),
         ("strict_inner", 0),
         ("strict_inner", None),
@@ -153,13 +158,14 @@ class TestGridSpec:
 class TestGeneration:
     def test_frozen_counts(self):
         # Counts of this generator, frozen as regression guards.  They do
-        # not match the originally quoted 1800/4050 under either threshold
-        # convention; see NOMINAL_GRID_COUNTS.
-        assert len(generate_grid(dataset_a_spec())) == 2060
-        assert len(generate_grid(dataset_b_spec())) == 3950
-        assert len(generate_grid(dataset_c_spec())) == 4100
-        a_strict = dataclasses.replace(dataset_a_spec(), strict_inner=True)
-        assert len(generate_grid(a_strict)) == 1970
+        # not match the originally quoted 1800/4050 under either reading of
+        # the threshold, d1 >= 17 mm or d1 > 17 mm; see NOMINAL_GRID_COUNTS.
+        for make, at_least, above in ((dataset_a_spec, 2060, 1970),
+                                      (dataset_b_spec, 3950, 3950),
+                                      (dataset_c_spec, 4100, 4000)):
+            grid = generate_grid(make())
+            assert len(grid) == at_least
+            assert sum(round(m_to_mm(g.d1), 6) > 17.0 for g in grid) == above
         assert len(default_corpus()) == 6010
 
     def test_deterministic_order(self):
@@ -183,7 +189,8 @@ class TestGeneration:
             assert (g.layer_gap is None) == (g.n_layers == 1)
             if g.layer_gap is not None:
                 assert g.layer_gap in gaps
-            assert validate(g, mm_to_m(spec.min_inner), spec.strict_inner).passed
+            assert meets_min_inner(g.d1, mm_to_m(spec.min_inner))
+            assert meets_min_inner(g.d2, mm_to_m(spec.min_inner))
 
     def test_no_mixed_aspect_pairs_in_default_corpus(self):
         small = {mm_to_m(v) for v in dataset_a_spec().D1_values}
@@ -515,8 +522,8 @@ def test_csv_roundtrip_property(spec, noise, seed, sources):
 def _edge_grid_specs(draw):
     """Random grid specs, one of whose outer sides puts d1 exactly on min_inner.
 
-    min_inner is 0 or positive, strict_inner either setting, and turn
-    counts up to 12 on sides down to 20 mm leave many turns that do not fit.
+    min_inner is 0 or positive, and turn counts up to 12 on sides down to
+    20 mm leave many turns that do not fit.
     """
     w_values = draw(_distinct(_mm(0.2, 5.0), 2))
     s_values = draw(_distinct(_mm(0.05, 2.0), 2))
@@ -534,7 +541,6 @@ def _edge_grid_specs(draw):
         NT_values=NT_values,
         NL_values=draw(_distinct(st.integers(1, 6), 3)),
         min_inner=min_inner,
-        strict_inner=draw(st.booleans()),
     )
 
 
@@ -551,12 +557,12 @@ _COUNTS = st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=
     D1=_LENGTHS, D2=_LENGTHS, w=_LENGTHS, s=_LENGTHS,
     O=st.lists(st.floats(min_value=1e-6, max_value=1e6), max_size=4, unique=True),
     NT=_COUNTS, NL=_COUNTS,
-    min_inner=st.floats(min_value=0.0, max_value=1e6), strict=st.booleans(),
+    min_inner=st.floats(min_value=0.0, max_value=1e6),
 )
-def test_grid_spec_mapping_roundtrip(D1, D2, w, s, O, NT, NL, min_inner, strict):
+def test_grid_spec_mapping_roundtrip(D1, D2, w, s, O, NT, NL, min_inner):
     assume(max(NL) == 1 or O)
     spec = GridSpec(tuple(D1), tuple(D2), tuple(w), tuple(s), tuple(O), tuple(NT), tuple(NL),
-                    min_inner, strict)
+                    min_inner)
     assert GridSpec.from_mapping(spec.to_mapping()) == spec
     # The mapping is a JSON document: it survives a trip through the text.
     assert GridSpec.from_mapping(json.loads(json.dumps(spec.to_mapping()))) == spec

@@ -364,6 +364,22 @@ def test_from_dims_arrays_agree_with_scalars(geometries, coefficients):
         assert abs(value - scalar) <= 1e-14 * scalar
 
 
+@given(g=windings(), coefficients=_random_coefficients)
+def test_square_windings_follow_the_collapsed_square_form(g, coefficients):
+    # At D1 = D2 = D the two outer-side factors merge into D^(a1 + a2) and the
+    # two mean-side factors into Dbar^(a3 + a4), Dbar = (D + d) / 2.  Merging
+    # powers moves the value by a few ulps, far inside 1e-12 relative.
+    c = coefficients
+    D, w, s, nt, nl, gap = g.D1, g.w, g.s, g.n_turns, g.n_layers, g.layer_gap
+    d = D - 2.0 * nt * (w + s) + 2.0 * s
+    collapsed = (
+        c.a0 * MU0 * D ** (c.a1 + c.a2) * ((D + d) / 2.0) ** (c.a3 + c.a4)
+        * w ** c.a5 * s ** c.a6 * nt ** c.a7 * nl ** c.a8
+        * (gap ** (c.a9 * (nl - 1)) if nl > 1 else 1.0)
+    )
+    assert abs(inductance_square(D, w, s, nt, nl, gap, c) - collapsed) <= 1e-12 * collapsed
+
+
 # a1 = a2 = -150: each factor stays finite, and their product is inf.
 _BIG = replace(DEFAULT_COEFFICIENTS, a1=-150.0, a2=-150.0)
 
