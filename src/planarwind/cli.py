@@ -110,8 +110,9 @@ class _Stager:
     is followed, and one that exists must be a writable regular file, whose
     mode the temporary takes (a new one gets 0o666 less the umask).  commit
     renames the temporaries over their targets in order, so the later of a
-    repeated target wins; discard removes every temporary still on disk that
-    it can, and never raises: one it cannot remove stays behind.
+    repeated target wins, and an error names its target as given; discard
+    removes every temporary still on disk that it can, and never raises:
+    one it cannot remove stays behind.
 
     Only a command that fails before commit changes no target.  The renames
     are not one atomic step: if one raises, or the process dies between two,
@@ -121,7 +122,7 @@ class _Stager:
     """
 
     def __init__(self):
-        self.staged = []  # (temporary, resolved target)
+        self.staged = []  # (temporary, resolved target, target as given)
 
     def __call__(self, target: str) -> str:
         path = os.path.realpath(target)
@@ -139,7 +140,7 @@ class _Stager:
         except OSError as exc:
             # Name the target as given, not the temporary or the resolved path.
             raise OSError(exc.errno, exc.strerror, target) from None
-        self.staged.append((temporary, path))
+        self.staged.append((temporary, path, target))
         if existing:
             os.chmod(temporary, os.stat(path).st_mode & 0o7777)
         return temporary
@@ -149,11 +150,15 @@ class _Stager:
             handle.write(text)
 
     def commit(self) -> None:
-        for temporary, path in self.staged:
-            os.replace(temporary, path)
+        for temporary, path, target in self.staged:
+            try:
+                os.replace(temporary, path)
+            except OSError as exc:
+                # Named as staging names it: the target as given.
+                raise OSError(exc.errno, exc.strerror, target) from None
 
     def discard(self) -> None:
-        for temporary, _ in self.staged:
+        for temporary, _, _ in self.staged:
             # Raised in main's finally, an error would escape main after its error line.
             with contextlib.suppress(OSError):
                 os.unlink(temporary)

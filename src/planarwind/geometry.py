@@ -15,7 +15,7 @@ happens at file and CLI boundaries only (see :mod:`planarwind.units`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -70,7 +70,10 @@ class WindingGeometry:
         layer_gap: separation between consecutive layers (m).  Required for
             n_layers >= 2.  A single-layer winding has no gap; a value passed
             with n_layers == 1 is dropped so equal windings compare equal.
-        d1, d2: inner side lengths (m), derived.  Not constructor arguments.
+
+    A winding stores these seven values only.  Its inner sides ``d1`` and
+    ``d2`` (m) are read-only properties, derived by :func:`inner_side` on
+    each access, so ``repr`` and ``dataclasses.fields`` do not list them.
 
     Every length must be positive and finite; NaN and infinity raise
     GeometryError, as does a count that is not an integer or a count below 1.
@@ -84,8 +87,6 @@ class WindingGeometry:
     n_turns: int
     n_layers: int
     layer_gap: Optional[float] = None
-    d1: float = field(init=False)
-    d2: float = field(init=False)
 
     def __post_init__(self) -> None:
         D1, D2, w, s, n_turns, n_layers = self.D1, self.D2, self.w, self.s, self.n_turns, self.n_layers
@@ -112,7 +113,7 @@ class WindingGeometry:
         if n_turns < 1:
             raise GeometryError(f"n_turns must be >= 1, got {n_turns}")
         # D2 is checked after d1, so a D1 whose turns do not fit is named first.
-        for name, D in (("d1", D1), ("d2", D2)):
+        for D in (D1, D2):
             if not 0.0 < D < math.inf:
                 raise GeometryError(f"lengths must be positive and finite, got D={D}, w={w}, s={s}")
             d = inner_side(D, n_turns, w, s)
@@ -121,7 +122,16 @@ class WindingGeometry:
                     f"{n_turns} turns of width {w} m at spacing {s} m do not fit "
                     f"inside D={D} m (inner side would be {d:.6g} m)"
                 )
-            object.__setattr__(self, name, d)
+
+    @property
+    def d1(self) -> float:
+        """Inner side of D1 (m), derived on each access."""
+        return inner_side(self.D1, self.n_turns, self.w, self.s)
+
+    @property
+    def d2(self) -> float:
+        """Inner side of D2 (m), derived on each access."""
+        return inner_side(self.D2, self.n_turns, self.w, self.s)
 
 
 def canonicalize(

@@ -10,8 +10,9 @@ gap enters through the single regressor x9 = (N_L - 1) * log10(O), which is
 exactly zero for single-layer rows (where no gap exists).  A row depends only
 on its own winding, so :func:`repeated_fit` builds one design matrix per
 corpus and takes each split's training rows from it.  The design matrix and
-:func:`evaluate`'s column arrays are filled with ``np.fromiter`` straight
-from the samples, one field at a time.
+:func:`evaluate` start from the same float columns, filled with
+``np.fromiter`` straight from the samples one field at a time; the inner
+sides are derived from them, not read winding by winding.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .dataset import Sample, split_train_eval
 from .estimator import COEFFICIENT_NAMES, MU0, CoefficientSet, require_in_range
 from .estimator import inductance_from_dims
-from .geometry import is_integer, mean_side
+from .geometry import inner_side, is_integer, mean_side
 
 FEATURE_NAMES = (
     "intercept",
@@ -54,15 +55,30 @@ class RankDeficiencyError(ValueError):
         )
 
 
+def _dimension_columns(samples: Sequence[Sample]) -> tuple[np.ndarray, ...]:
+    """D1, D2, d1, d2, w, s and N_T of the samples' windings, as float arrays.
+
+    The inner sides come from :func:`inner_side` on the columns, the same
+    operations in the same order as a winding's own d1 and d2, so every
+    value is bit-identical to theirs.  N_T is a float column too: an int
+    array cannot take a negative integer exponent.
+    """
+    n = len(samples)
+    D1, D2, w, s, n_turns = (np.fromiter(values, float, n) for values in (
+        (sample.geometry.D1 for sample in samples), (sample.geometry.D2 for sample in samples),
+        (sample.geometry.w for sample in samples), (sample.geometry.s for sample in samples),
+        (sample.geometry.n_turns for sample in samples),
+    ))
+    return D1, D2, inner_side(D1, n_turns, w, s), inner_side(D2, n_turns, w, s), w, s, n_turns
+
+
 def build_design_matrix(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix (with leading intercept column) and response vector.
 
     Row i holds, after the intercept, log10 of D1, D2, Dbar1, Dbar2, w, s,
     N_T and N_L of sample i, then (N_L - 1) * log10(O), exactly 0 for a
     single layer; y[i] is log10 of its label.  Logs are taken with
-    math.log10, which np.log10 does not match in the last bit.  Each
-    column is streamed from the samples into its array, with no list
-    of the field between them.
+    math.log10, which np.log10 does not match in the last bit.
     """
     n = len(samples)
     if n == 0:
@@ -77,19 +93,15 @@ def build_design_matrix(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarr
         return np.fromiter(values, float, n)
 
     log10 = math.log10
+    D1, D2, d1, d2, w, s, n_turns = _dimension_columns(samples)
     X = np.empty((n, len(FEATURE_NAMES)))
     X[:, 0] = 1.0
-    X[:, 1] = column(log10(s.geometry.D1) for s in samples)
-    X[:, 2] = column(log10(s.geometry.D2) for s in samples)
-    X[:, 3] = column(log10(mean_side(s.geometry.D1, s.geometry.d1)) for s in samples)
-    X[:, 4] = column(log10(mean_side(s.geometry.D2, s.geometry.d2)) for s in samples)
-    X[:, 5] = column(log10(s.geometry.w) for s in samples)
-    X[:, 6] = column(log10(s.geometry.s) for s in samples)
-    X[:, 7] = column(log10(s.geometry.n_turns) for s in samples)
-    X[:, 8] = column(log10(s.geometry.n_layers) for s in samples)
+    for j, values in enumerate((D1, D2, mean_side(D1, d1), mean_side(D2, d2), w, s, n_turns), 1):
+        X[:, j] = column(map(log10, values.tolist()))
+    X[:, 8] = column(log10(sample.geometry.n_layers) for sample in samples)
     X[:, 9] = column(0.0 if g.n_layers == 1 else (g.n_layers - 1) * log10(g.layer_gap)
-                     for g in (s.geometry for s in samples))
-    y = column(log10(s.L_ref) for s in samples)
+                     for g in (sample.geometry for sample in samples))
+    y = column(log10(sample.L_ref) for sample in samples)
     return X, y
 
 
@@ -242,14 +254,8 @@ def evaluate(
     n = len(samples)
     layers = np.fromiter((s.geometry.n_layers for s in samples), int, n)
     L_model = np.empty(n)
-    # Float columns, N_T too: an int array cannot take a negative integer
-    # exponent.  None (no gap, single layer) becomes NaN and is never read.
-    columns = [np.fromiter(values, float, n) for values in (
-        (s.geometry.D1 for s in samples), (s.geometry.D2 for s in samples),
-        (s.geometry.d1 for s in samples), (s.geometry.d2 for s in samples),
-        (s.geometry.w for s in samples), (s.geometry.s for s in samples),
-        (s.geometry.n_turns for s in samples),
-    )]
+    columns = _dimension_columns(samples)
+    # None (no gap, single layer) becomes NaN and is never read.
     gaps = np.fromiter((s.geometry.layer_gap for s in samples), float, n)
     layer_counts = np.unique(layers).tolist()
     # The kernel takes one layer count per call.

@@ -641,7 +641,7 @@ REPEATED = object()
     ("grid", "NT_values", [10 ** 400]),
     ("optimize", "NT", [3, 10 ** 400]),
 ])
-def test_non_integer_count_or_non_boolean_strict_is_bad_input(capsys, tmp_path, command, key, value):
+def test_non_integer_count_or_unknown_key_is_bad_input(capsys, tmp_path, command, key, value):
     mapping = {
         "grid": json.loads(small_spec_file(tmp_path).read_text()),
         "optimize": default_problem().to_mapping(),
@@ -870,6 +870,21 @@ class TestOneOutputStep:
         # The renames before the failing one stand (see _Stager).
         assert sorted(os.listdir()) == ["a.csv", "c.json", "sub"]
         assert os.listdir("sub") == [f".planarwind.{os.getpid()}.1.tmp"]
+
+    def test_a_rename_error_names_the_target_as_given(self, capsys, folder, monkeypatch):
+        commit = _Stager.commit
+
+        def commit_onto_a_folder(stage):
+            # The staged target becomes a folder before it is renamed into place.
+            os.mkdir("x.json")
+            commit(stage)
+
+        monkeypatch.setattr(_Stager, "commit", commit_onto_a_folder)
+        code, stdout, err = run(capsys, "eval", "--in", "a.csv", "--coeffs", "default",
+                                "--report", "x.json")
+        assert (code, stdout, err) == (3, "", "error: [Errno 21] Is a directory: 'x.json'\n")
+        assert sorted(os.listdir()) == ["a.csv", "x.json"]
+        assert os.listdir("x.json") == []
 
     def test_stdout_is_written_after_the_files_are_in_place(self, capsys, folder, monkeypatch):
         listings = []

@@ -137,7 +137,7 @@ class TestGridSpec:
         ("min_inner", "17"),
         ("min_inner", None),
     ])
-    def test_from_mapping_rejects_non_integer_counts_and_non_boolean_strict(self, field, value):
+    def test_from_mapping_rejects_non_integer_counts_and_unknown_keys(self, field, value):
         # Counts follow the WindingGeometry rule and lists and lengths must have
         # their JSON shape; nothing is truncated or coerced.
         mapping = small_spec().to_mapping()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -170,6 +171,33 @@ def test_inner_side_ordering(D1, extra, w, s, n_turns, n_layers):
         return
     assert 0.0 < g.d1 <= g.d2
     assert g.d1 == D1 - 2 * n_turns * (w + s) + 2 * s
+
+
+@given(
+    sides=st.tuples(st.floats(0.02, 0.3), st.floats(0.02, 0.3)),
+    w=st.floats(1e-4, 3e-3),
+    narrower=st.floats(0.1, 1.0),
+    s=st.floats(5e-5, 1e-3),
+    n_turns=st.integers(1, 8),
+    n_layers=st.integers(1, 4),
+    gap=st.floats(1e-4, 3e-3),
+)
+def test_a_winding_stores_its_seven_values_and_derives_its_inner_sides(
+    sides, w, narrower, s, n_turns, n_layers, gap
+):
+    try:
+        g = canonicalize(*sides, w, s, n_turns, n_layers, gap)
+    except InfeasibleGeometryError:
+        return
+    names = ["D1", "D2", "w", "s", "n_turns", "n_layers", "layer_gap"]
+    assert [f.name for f in dataclasses.fields(WindingGeometry)] == names
+    assert WindingGeometry.__slots__ == tuple(names)
+    assert "d1" not in repr(g) and "d2" not in repr(g)
+    # A narrower trace widens the inner sides, so the replaced winding fits too.
+    for h in (g, dataclasses.replace(g, w=w * narrower), pickle.loads(pickle.dumps(g))):
+        assert h.d1 == inner_side(h.D1, h.n_turns, h.w, h.s)
+        assert h.d2 == inner_side(h.D2, h.n_turns, h.w, h.s)
+    assert pickle.loads(pickle.dumps(g)) == g
 
 
 @given(
