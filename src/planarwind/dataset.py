@@ -4,10 +4,10 @@ Grid specifications and files use millimeters and microhenries; everything
 returned to callers is SI (see :mod:`planarwind.units`).
 
 A corpus from a parameter sweep holds a few distinct lengths in long
-runs.  Windings built here share one float per value where that is free:
+runs.  Windings built here share one float per value:
 :func:`generate_grid` converts each spec value once, and the CSV readers
-take a length cell that repeats the cell above it from that row, and a
-source name from :data:`SOURCES`.
+give every length above 0 the file's first float of its value, and a
+sample its source name from :data:`SOURCES`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .estimator import CoefficientSet, inductance, require_in_range
-from .geometry import GeometryError, WindingGeometry, inner_side, is_integer, meets_min_inner
+from .geometry import (
+    GeometryError, WindingGeometry, frozen_slots, inner_side, is_integer, meets_min_inner,
+)
 from .units import h_to_uh, json_field, json_keys, m_to_mm, mm_to_m, uh_to_h
 
 SOURCES = ("simulated", "measured", "synthetic")
@@ -40,6 +42,7 @@ CSV_HEADER = (
 NOMINAL_GRID_COUNTS = {"A": 1800, "B": 4050}
 
 
+@frozen_slots
 @dataclass(frozen=True, slots=True)
 class Sample:
     """One labeled winding: geometry plus reference inductance (H)."""
@@ -355,23 +358,32 @@ def _bad_cell(path, line: int, row: Sequence[str]) -> SampleFileError:
 def _parse_geometries(path: Union[str, Path]):
     """Yield (line, row, geometry) for each row of a sample CSV.
 
-    A length cell (D1_mm, D2_mm, w_mm, s_mm, O_mm) whose text equals the
-    same cell of the previous row takes that row's float: the same text
-    parses to the same float, and that row passed every check.  A corpus
-    from a parameter sweep repeats a few lengths in long runs, so its
-    windings then share one float per run, not one per row.
+    Every length cell (D1_mm, D2_mm, w_mm, s_mm, O_mm) whose value is
+    above 0 takes the file's first float of that value, whichever column
+    or row it came from: equal floats are the same number.  A corpus from
+    a parameter sweep holds a few distinct lengths, so its windings then
+    share one float per value, not one per row.  A zero keeps its own
+    float, so that an error message shows the sign its cell gave it.
     """
-    # No cell equals None, so the first row parses every cell.
+    share = {}.setdefault
+
+    def length(value: float) -> float:
+        value = mm_to_m(value)
+        return share(value, value) if value > 0.0 else value
+
+    # A cell whose text equals the same cell of the row above holds the
+    # same value, so it takes that row's float without converting its text.
+    # No cell equals None, so the first row converts every cell.
     last_row, last = (None,) * len(CSV_HEADER), None
     for line, row in _read_rows(path):
         # float() and int() skip surrounding whitespace, so the numeric
         # cells are converted as read; only an error message strips its cell.
         try:
-            D1 = last.D1 if row[0] == last_row[0] else mm_to_m(float(row[0]))
-            D2 = last.D2 if row[1] == last_row[1] else mm_to_m(float(row[1]))
+            D1 = last.D1 if row[0] == last_row[0] else length(float(row[0]))
+            D2 = last.D2 if row[1] == last_row[1] else length(float(row[1]))
             d1, d2 = float(row[2]), float(row[3])
-            w = last.w if row[4] == last_row[4] else mm_to_m(float(row[4]))
-            s = last.s if row[5] == last_row[5] else mm_to_m(float(row[5]))
+            w = last.w if row[4] == last_row[4] else length(float(row[4]))
+            s = last.s if row[5] == last_row[5] else length(float(row[5]))
             nt, nl = int(row[6]), int(row[7])
         except ValueError:
             raise _bad_cell(path, line, row) from None
@@ -386,7 +398,7 @@ def _parse_geometries(path: Union[str, Path]):
             # A gap cell that is not empty belongs to a multilayer row.
             gap = last.layer_gap
         else:
-            gap = mm_to_m(_parse_float(path, line, "O_mm", gap_text))
+            gap = length(_parse_float(path, line, "O_mm", gap_text))
         try:
             geometry = WindingGeometry(D1, D2, w, s, nt, nl, gap)
         except GeometryError as exc:

@@ -15,7 +15,7 @@ happens at file and CLI boundaries only (see :mod:`planarwind.units`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional
 
 
@@ -57,6 +57,26 @@ def require_integer(name: str, count) -> None:
         raise GeometryError(f"{name} must be an integer, got {count!r}")
 
 
+def frozen_slots(cls):
+    """cls, whose instances refuse every assignment and deletion with FrozenInstanceError.
+
+    For a class from ``dataclass(frozen=True, slots=True)``.  Before Python
+    3.12 its ``__setattr__`` and ``__delattr__`` refer to the class that
+    the slotted one replaced, so that assigning a name that is not a field
+    raised ``TypeError: super(type, obj)``.  Construction, pickling and
+    ``dataclasses.replace`` go through ``object.__setattr__``, unaffected.
+    """
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@frozen_slots
 @dataclass(frozen=True, slots=True)
 class WindingGeometry:
     """One multilayer rectangular planar winding, in SI units.

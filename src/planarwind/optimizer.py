@@ -393,6 +393,30 @@ def _result(problem: OptimizationProblem, best_point, records) -> OptimizationRe
     )
 
 
+def _onto_inner_bounds(x: list, nt: int, problem: OptimizationProblem) -> list:
+    """x = [D1, D2, w, s] with each d_i that just misses a bound moved onto it.
+
+    SLSQP ends a restart on an active inner-side bound a few nm on the
+    wrong side, where :func:`feasible` rejects it.  A d_i that misses its
+    floor or ceiling by at most 1e-6 * D_i moves D_i by the miss; D_i then
+    steps by single ulps until ``inner_side`` meets the bound.  Any other
+    point is returned as it is.
+    """
+    w, s = x[2], x[3]
+    for i, key in ((0, "d1"), (1, "d2")):
+        floor, ceiling = problem.bounds[key]
+        d = inner_side(x[i], nt, w, s)
+        if floor - 1e-6 * x[i] <= d < floor:
+            x[i] += floor - d
+            while inner_side(x[i], nt, w, s) < floor:
+                x[i] = math.nextafter(x[i], math.inf)
+        elif ceiling < d <= ceiling + 1e-6 * x[i]:
+            x[i] += ceiling - d
+            while inner_side(x[i], nt, w, s) > ceiling:
+                x[i] = math.nextafter(x[i], -math.inf)
+    return x
+
+
 def _search(
     problem: OptimizationProblem, nt: int, indices: range, seed: int, empty: bool
 ) -> list[RestartRecord]:
@@ -415,7 +439,7 @@ def _search(
         warnings.filterwarnings("ignore", message="Values in x were outside bounds")
         for index in indices:
             start = np.random.default_rng([seed, nt, index]).uniform(lo, hi)
-            x = start
+            x = start.tolist()
             if not empty:
                 x = np.clip(fmin_slsqp(objective, start, f_ieqcons=lambda x: A @ x - rhs,
                                        fprime=gradient, fprime_ieqcons=lambda x: A,
@@ -424,7 +448,8 @@ def _search(
                 # from the solver; snap it to the bound exactly.
                 for bound in (lo, hi):
                     x = np.where(np.abs(x - bound) <= 1e-9 * np.abs(bound), bound, x)
-            point = (*x.tolist(), nt)
+                x = _onto_inner_bounds(x.tolist(), nt, problem)
+            point = (*x, nt)
             ok = not empty and feasible(point, problem)[0]
             value = inductance(WindingGeometry(*point, problem.n_layers, problem.layer_gap),
                                problem.coefficients) if ok else None

@@ -12,7 +12,9 @@ on its own winding, so :func:`repeated_fit` builds one design matrix per
 corpus and takes each split's training rows from it.  The design matrix and
 :func:`evaluate` start from the same float columns, filled with
 ``np.fromiter`` straight from the samples one field at a time; the inner
-sides are derived from them, not read winding by winding.
+sides are derived from them, not read winding by winding.  A corpus from
+a parameter sweep holds a few values per dimension, so the design matrix
+takes one log10 per distinct value of each dimension column.
 """
 
 from __future__ import annotations
@@ -72,13 +74,22 @@ def _dimension_columns(samples: Sequence[Sample]) -> tuple[np.ndarray, ...]:
     return D1, D2, inner_side(D1, n_turns, w, s), inner_side(D2, n_turns, w, s), w, s, n_turns
 
 
+def _log10_by_value(values: np.ndarray) -> np.ndarray:
+    """math.log10 of each value, called once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.fromiter(map(math.log10, distinct.tolist()), float, distinct.size)[inverse]
+
+
 def build_design_matrix(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix (with leading intercept column) and response vector.
 
     Row i holds, after the intercept, log10 of D1, D2, Dbar1, Dbar2, w, s,
     N_T and N_L of sample i, then (N_L - 1) * log10(O), exactly 0 for a
     single layer; y[i] is log10 of its label.  Logs are taken with
-    math.log10, which np.log10 does not match in the last bit.
+    math.log10, which np.log10 does not match in the last bit: once per
+    distinct value for the eight dimension columns, which hold a few
+    values each in a corpus from a parameter sweep, and once per row for
+    the label and the gap term.
     """
     n = len(samples)
     if n == 0:
@@ -97,8 +108,9 @@ def build_design_matrix(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarr
     X = np.empty((n, len(FEATURE_NAMES)))
     X[:, 0] = 1.0
     for j, values in enumerate((D1, D2, mean_side(D1, d1), mean_side(D2, d2), w, s, n_turns), 1):
-        X[:, j] = column(map(log10, values.tolist()))
-    X[:, 8] = column(log10(sample.geometry.n_layers) for sample in samples)
+        X[:, j] = _log10_by_value(values)
+    # A count converts to the float that math.log10 of the int would take.
+    X[:, 8] = _log10_by_value(column(sample.geometry.n_layers for sample in samples))
     X[:, 9] = column(0.0 if g.n_layers == 1 else (g.n_layers - 1) * log10(g.layer_gap)
                      for g in (sample.geometry for sample in samples))
     y = column(log10(sample.L_ref) for sample in samples)

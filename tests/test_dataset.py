@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import json
 import math
@@ -696,9 +695,16 @@ def test_records_are_slotted_frozen_and_hashable():
     for make, field in ((geometry, "D1"), (sample, "source")):
         record, twin = make(), make()
         assert not hasattr(record, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, field, getattr(twin, field))
+        # A derived property and a name that is no field are refused alike.
+        for name in (field, "d1", "foo"):
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"^cannot assign to field '{name}'$"):
+                setattr(record, name, getattr(twin, field))
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"^cannot delete field '{name}'$"):
+                delattr(record, name)
         assert record == twin and record is not twin
+        assert repr(record) == repr(twin)
         assert hash(record) == hash(twin)
         assert len({record, twin}) == 1
     assert sample() != dataclasses.replace(sample(), source="simulated")
@@ -744,7 +750,7 @@ def _write_lines(path, rows):
     path.write_text("\n".join([",".join(CSV_HEADER)] + [",".join(row) for row in rows]) + "\n")
 
 
-_SHARED_LENGTHS = {0: "D1", 1: "D2", 4: "w", 5: "s", 8: "layer_gap"}
+_SHARED_LENGTHS = ("D1", "D2", "w", "s", "layer_gap")
 
 
 @given(rows=_corpus_rows())
@@ -756,7 +762,6 @@ def test_readers_equal_the_per_row_reference_on_repeated_cells(rows):
         geometries = read_geometry_csv(path)
         wanted = reference.read_csv(path)
         assert geometries == reference.read_geometry_csv(path) == [s.geometry for s in wanted]
-        cells = list(csv.reader(path.read_text().splitlines()[1:]))
     assert len(samples) == len(wanted) == len(rows)
     for sample, want in zip(samples, wanted):
         for name in ("D1", "D2", "d1", "d2", "w", "s", "n_turns", "n_layers", "layer_gap"):
@@ -765,30 +770,29 @@ def test_readers_equal_the_per_row_reference_on_repeated_cells(rows):
         assert sample.L_ref.hex() == want.L_ref.hex()
         assert sample.source == want.source
         assert any(sample.source is name for name in SOURCES)
-    # A length cell that repeats the cell above it shares that row's float.
+    # Equal lengths share one float, in whatever rows and columns they stand.
     for read in ([s.geometry for s in samples], geometries):
-        for above, below, cells_above, cells_below in zip(read, read[1:], cells, cells[1:]):
-            for column, name in _SHARED_LENGTHS.items():
-                if cells_below[column] == cells_above[column] and cells_below[column].strip():
-                    assert getattr(below, name) is getattr(above, name)
+        first = {}
+        for g in read:
+            for name in _SHARED_LENGTHS:
+                value = getattr(g, name)
+                if value is not None:
+                    assert first.setdefault(value, value) is value
 
 
-def test_equal_length_cells_on_consecutive_rows_share_one_float(tmp_path):
+def test_read_back_windings_share_one_float_per_value(tmp_path):
     path = tmp_path / "ab.csv"
     write_csv(synth_labels(default_corpus(), DEFAULT_COEFFICIENTS, 0.0086, 3), path)
     samples = read_csv(path)
     geometries = [sample.geometry for sample in samples]
     for read in (geometries, read_geometry_csv(path)):
-        for above, below in zip(read, read[1:]):
-            for name in ("D1", "D2", "w", "s"):
-                if getattr(below, name) == getattr(above, name):
-                    assert getattr(below, name) is getattr(above, name)
-            if below.layer_gap is not None and below.layer_gap == above.layer_gap:
-                assert below.layer_gap is above.layer_gap
-    # Corpus AB holds 10 side lengths, 3 widths and 3 spacings, and runs of them.
-    for name, distinct in (("D1", 10), ("w", 3), ("s", 3)):
-        objects = {id(getattr(g, name)) for g in geometries}
-        assert distinct <= len(objects) < len(geometries) // 10
+        # One object per distinct value, across the five length columns too.
+        values = [getattr(g, name) for g in read for name in _SHARED_LENGTHS
+                  if getattr(g, name) is not None]
+        assert len({id(v) for v in values}) == len(set(values))
+    # Corpus AB holds 10 side lengths, 3 widths, 3 spacings and 3 gaps.
+    for name, distinct in (("D1", 10), ("D2", 10), ("w", 3), ("s", 3), ("layer_gap", 3)):
+        assert len({id(getattr(g, name)) for g in geometries if g.n_layers > 1}) == distinct
     assert all(any(sample.source is name for name in SOURCES) for sample in samples)
 
 
@@ -817,7 +821,7 @@ def _row(**cells):
     ([_GOOD_ROW, _row(c1="eighty")], 3, "D2_mm is not a number: 'eighty'"),
     ([_GOOD_ROW, _GOOD_ROW, _row(c5=" 0.5.0 ")], 4, "s_mm is not a number: '0.5.0'"),
     ([_GOOD_ROW, _row(c6="six")], 3, "N_T is not an integer: 'six'"),
-    # "-0" is not the text "0", nor any text above it.
+    # No zero takes the float of an equal zero in another column: each keeps its sign.
     ([_GOOD_ROW, _row(c0="0", c8="-0")], 3,
      "layer_gap must be positive and finite, got -0.0"),
     ([_GOOD_ROW, _row(c0="0")], 3,
@@ -827,6 +831,12 @@ def _row(**cells):
      "lengths must be positive and finite, got D=0.07, w=nan, s=0.0005"),
     ([_GOOD_ROW, _row(c2="17.0000", c3="27.0000", c4="4.0000"), _row(c8="nan")], 4,
      "layer_gap must be positive and finite, got nan"),
+    ([_GOOD_ROW, _row(c0="-0", c4="0", c5="0")], 3,
+     "lengths must be positive and finite, got D=-0.0, w=0.0, s=0.0"),
+    ([_GOOD_ROW, _row(c0="0", c4="-0")], 3,
+     "lengths must be positive and finite, got D=0.0, w=-0.0, s=0.0005"),
+    ([_GOOD_ROW, _GOOD_ROW, _row(c0="-0", c8="0")], 4,
+     "layer_gap must be positive and finite, got 0.0"),
 ])
 def test_errors_after_repeated_cells_equal_the_reference(tmp_path, rows, line, message):
     path = tmp_path / "samples.csv"

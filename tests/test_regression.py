@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from planarwind import (
     Sample,
     WindingGeometry,
     build_design_matrix,
+    canonicalize,
     default_corpus,
     evaluate,
     fit_and_evaluate,
@@ -97,9 +99,26 @@ _LOG10_SPLIT_SPEC = GridSpec(
 
 @functools.lru_cache(maxsize=None)
 def _labeled(corpus):
-    """Corpus AB, the one- to three-layer grid _LOG10_SPLIT_SPEC or its last row, with noise."""
+    """Corpus AB, the one- to three-layer grid _LOG10_SPLIT_SPEC or its last row, with noise.
+
+    Also corpus AB with every length moved by its own random factor, so that
+    nearly every value is distinct, and windings whose counts reach 2**53
+    and above, where an int and its float differ.
+    """
     if corpus == "AB":
         return tuple(synth_labels(_corpus_ab(), DEFAULT_COEFFICIENTS, 0.0086, 3))
+    if corpus == "jittered":
+        rng = random.Random(5)
+        # Longer sides and a narrower trace and spacing leave the turns fitting.
+        grow, shrink = (lambda: 1.0 + 0.02 * rng.random()), (lambda: 1.0 - 0.02 * rng.random())
+        jittered = [canonicalize(g.D1 * grow(), g.D2 * grow(), g.w * shrink(), g.s * shrink(),
+                                 g.n_turns, g.n_layers, g.layer_gap and g.layer_gap * grow())
+                    for g in _corpus_ab()]
+        return tuple(synth_labels(jittered, DEFAULT_COEFFICIENTS, 0.0086, 4))
+    if corpus == "huge counts":
+        counts = (2**53, 2**53 + 1, 2**53 + 3, 2**60 + 12345, 3 * 2**70 + 1, 6)
+        return tuple(Sample(WindingGeometry(0.07, 0.08, 1e-30, 2e-30, nt, nl, 0.001), 1e-6 * k)
+                     for k, (nt, nl) in enumerate(itertools.product(counts, counts[::-1]), 1))
     samples = synth_labels(generate_grid(_LOG10_SPLIT_SPEC), DEFAULT_COEFFICIENTS, 0.0086, 5)
     assert {sample.geometry.n_layers for sample in samples} == {1, 2, 3}
     return tuple(samples if corpus == "mixed layers" else samples[-1:])
@@ -109,6 +128,8 @@ def _labeled(corpus):
 @example((_labeled("AB"), None))
 @example((_labeled("mixed layers"), None))
 @example((_labeled("one row"), None))
+@example((_labeled("jittered"), None))
+@example((_labeled("huge counts"), None))
 def test_design_matrix_equals_parent_rows_bit_for_bit(corpus):
     samples, _ = corpus
     X, y = build_design_matrix(samples)
