@@ -46,7 +46,7 @@ from .optimizer import (
     oracle_steps,
 )
 from .regression import RankDeficiencyError, evaluate, repeated_fit
-from .units import h_to_uh, json_field, m_to_mm, mm_to_m
+from .units import fits_a_float, h_to_uh, json_field, m_to_mm, mm_to_m
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,17 +85,8 @@ def _checked(convert, test, wants: str):
     return parse
 
 
-def _fits_a_float(value: int) -> bool:
-    """Whether float() converts value, as units.json_field requires of JSON counts."""
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
 _SEED = _checked(int, lambda v: v >= 0, ">= 0")
-_COUNT = _checked(int, _fits_a_float, "in the float range")
+_COUNT = _checked(int, fits_a_float, "in the float range")
 _POSITIVE_INT = _checked(_COUNT, lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = _checked(_finite_float, lambda v: v >= 0.0, ">= 0")
 _POSITIVE = _checked(_finite_float, lambda v: v > 0.0, "> 0")

@@ -18,6 +18,8 @@ import math
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional
 
+from .units import fits_a_float
+
 
 class GeometryError(ValueError):
     """Invalid winding geometry."""
@@ -96,7 +98,8 @@ class WindingGeometry:
     each access, so ``repr`` and ``dataclasses.fields`` do not list them.
 
     Every length must be positive and finite; NaN and infinity raise
-    GeometryError, as does a count that is not an integer or a count below 1.
+    GeometryError, as does a count that is not an integer, a count below 1
+    or one that float() cannot convert (from about 2**1024 on).
     Turns that leave an inner side <= 0 raise InfeasibleGeometryError.
     """
 
@@ -114,6 +117,8 @@ class WindingGeometry:
         require_integer("n_layers", n_layers)
         if n_layers < 1:
             raise GeometryError(f"n_layers must be >= 1, got {n_layers}")
+        if not fits_a_float(n_layers):
+            raise GeometryError(f"n_layers must be in the float range, got {n_layers}")
         if D1 > D2:
             raise OrientationError(
                 f"sides out of order: D1={D1} > D2={D2} "
@@ -132,6 +137,8 @@ class WindingGeometry:
             raise GeometryError(f"lengths must be positive and finite, got D={D1}, w={w}, s={s}")
         if n_turns < 1:
             raise GeometryError(f"n_turns must be >= 1, got {n_turns}")
+        if not fits_a_float(n_turns):
+            raise GeometryError(f"n_turns must be in the float range, got {n_turns}")
         # D2 is checked after d1, so a D1 whose turns do not fit is named first.
         for D in (D1, D2):
             if not 0.0 < D < math.inf:

@@ -9,12 +9,12 @@ ordinary least squares on a design matrix of logged dimensions.  The layer
 gap enters through the single regressor x9 = (N_L - 1) * log10(O), which is
 exactly zero for single-layer rows (where no gap exists).  A row depends only
 on its own winding, so :func:`repeated_fit` builds one design matrix per
-corpus and takes each split's training rows from it.  The design matrix and
-:func:`evaluate` start from the same float columns, filled with
-``np.fromiter`` straight from the samples one field at a time; the inner
-sides are derived from them, not read winding by winding.  A corpus from
-a parameter sweep holds a few values per dimension, so the design matrix
-takes one log10 per distinct value of each dimension column.
+corpus and takes each split's training rows from it.  The design matrix
+and :func:`evaluate` start from one read of the samples into columns, each
+field of each sample read once; N_L stays exact, as its distinct counts
+(Python ints) and each row's index into them.  A corpus from a parameter
+sweep holds a few values per dimension, so the design matrix takes one
+log10 per distinct value of each dimension column, count and gap.
 """
 
 from __future__ import annotations
@@ -57,21 +57,31 @@ class RankDeficiencyError(ValueError):
         )
 
 
-def _dimension_columns(samples: Sequence[Sample]) -> tuple[np.ndarray, ...]:
-    """D1, D2, d1, d2, w, s and N_T of the samples' windings, as float arrays.
+def _columns(samples: Sequence[Sample]):
+    """The samples' fields as arrays, each field of each sample read once.
 
-    The inner sides come from :func:`inner_side` on the columns, the same
-    operations in the same order as a winding's own d1 and d2, so every
-    value is bit-identical to theirs.  N_T is a float column too: an int
-    array cannot take a negative integer exponent.
+    Returns (D1, D2, d1, d2, w, s, N_T), the gaps (NaN for one layer) and
+    L_ref as float arrays, then the distinct N_L in ascending order, the
+    Python ints themselves, and each row's index into them.  The inner
+    sides come from :func:`inner_side` on the columns, the same operations
+    in the same order as a winding's own d1 and d2, so every value is
+    bit-identical to theirs.  N_T is a float column: an int array cannot
+    take a negative integer exponent.
     """
     n = len(samples)
-    D1, D2, w, s, n_turns = (np.fromiter(values, float, n) for values in (
-        (sample.geometry.D1 for sample in samples), (sample.geometry.D2 for sample in samples),
-        (sample.geometry.w for sample in samples), (sample.geometry.s for sample in samples),
-        (sample.geometry.n_turns for sample in samples),
+    geometries = [sample.geometry for sample in samples]
+    # np.fromiter takes None, the gap of a single layer, as NaN.
+    D1, D2, w, s, n_turns, gaps = (np.fromiter(values, float, n) for values in (
+        (g.D1 for g in geometries), (g.D2 for g in geometries), (g.w for g in geometries),
+        (g.s for g in geometries), (g.n_turns for g in geometries),
+        (g.layer_gap for g in geometries),
     ))
-    return D1, D2, inner_side(D1, n_turns, w, s), inner_side(D2, n_turns, w, s), w, s, n_turns
+    L_ref = np.fromiter((sample.L_ref for sample in samples), float, n)
+    layers = [g.n_layers for g in geometries]
+    counts = sorted(set(layers))
+    index = np.fromiter(map({nl: k for k, nl in enumerate(counts)}.__getitem__, layers), np.intp, n)
+    d1, d2 = inner_side(D1, n_turns, w, s), inner_side(D2, n_turns, w, s)
+    return (D1, D2, d1, d2, w, s, n_turns), gaps, L_ref, counts, index
 
 
 def _log10_by_value(values: np.ndarray) -> np.ndarray:
@@ -87,33 +97,28 @@ def build_design_matrix(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarr
     N_T and N_L of sample i, then (N_L - 1) * log10(O), exactly 0 for a
     single layer; y[i] is log10 of its label.  Logs are taken with
     math.log10, which np.log10 does not match in the last bit: once per
-    distinct value for the eight dimension columns, which hold a few
-    values each in a corpus from a parameter sweep, and once per row for
-    the label and the gap term.
+    distinct value for the eight dimension columns and the gap, which hold
+    a few values each in a corpus from a parameter sweep, and once per row
+    for the label.  N_L - 1 is converted to a float once per distinct count.
     """
     n = len(samples)
     if n == 0:
         raise ValueError("no samples")
-    L_ref = np.fromiter((sample.L_ref for sample in samples), float, n)
+    (D1, D2, d1, d2, w, s, n_turns), gaps, L_ref, counts, index = _columns(samples)
     bad = np.flatnonzero(~((L_ref > 0.0) & np.isfinite(L_ref)))
     if bad.size:
         i = int(bad[0])
         raise ValueError(f"sample {i}: L_ref must be positive and finite, got {samples[i].L_ref}")
-
-    def column(values):
-        return np.fromiter(values, float, n)
-
-    log10 = math.log10
-    D1, D2, d1, d2, w, s, n_turns = _dimension_columns(samples)
     X = np.empty((n, len(FEATURE_NAMES)))
     X[:, 0] = 1.0
     for j, values in enumerate((D1, D2, mean_side(D1, d1), mean_side(D2, d2), w, s, n_turns), 1):
         X[:, j] = _log10_by_value(values)
-    # A count converts to the float that math.log10 of the int would take.
-    X[:, 8] = _log10_by_value(column(sample.geometry.n_layers for sample in samples))
-    X[:, 9] = column(0.0 if g.n_layers == 1 else (g.n_layers - 1) * log10(g.layer_gap)
-                     for g in (sample.geometry for sample in samples))
-    y = column(log10(sample.L_ref) for sample in samples)
+    # math.log10 of a count and float(N_L - 1) take the exact int, as the
+    # per-row math.log10(N_L) and (N_L - 1) * log10(O) do.
+    X[:, 8] = np.fromiter(map(math.log10, counts), float, len(counts))[index]
+    steps = np.array([float(nl - 1) for nl in counts])[index]
+    X[:, 9] = np.where(steps > 0.0, steps * _log10_by_value(gaps), 0.0)
+    y = np.fromiter(map(math.log10, L_ref.tolist()), float, n)
     return X, y
 
 
@@ -253,6 +258,9 @@ def evaluate(
 ) -> FitReport:
     """Error statistics of a coefficient set on labeled windings; model L must be in (0, inf).
 
+    The array kernel runs once per distinct layer count, an int of any
+    size, on that count's rows.
+
     Raises:
         OverflowError: for a model value outside (0, inf), or a mean, std or
             MAE of the errors that is not finite.
@@ -263,23 +271,17 @@ def evaluate(
     if len(samples) == 0:
         raise ValueError("no samples to evaluate")
     _check_report_settings(threshold_pct, bin_width_pct)
-    n = len(samples)
-    layers = np.fromiter((s.geometry.n_layers for s in samples), int, n)
-    L_model = np.empty(n)
-    columns = _dimension_columns(samples)
-    # None (no gap, single layer) becomes NaN and is never read.
-    gaps = np.fromiter((s.geometry.layer_gap for s in samples), float, n)
-    layer_counts = np.unique(layers).tolist()
+    dimensions, gaps, L_ref, counts, index = _columns(samples)
+    L_model = np.empty(len(samples))
     # The kernel takes one layer count per call.
-    for nl in layer_counts:
-        rows = layers == nl
+    for k, nl in enumerate(counts):
+        rows = index == k
         L_model[rows] = inductance_from_dims(
-            *(column[rows] for column in columns), nl,
+            *(column[rows] for column in dimensions), nl,
             gaps[rows] if nl > 1 else None, coefficients=coefficients,
         )
     require_in_range(float(L_model.min()))
     require_in_range(float(L_model.max()))
-    L_ref = np.fromiter((s.L_ref for s in samples), float, n)
     errors = (L_ref - L_model) / L_ref * 100.0
     mean, std, mae = float(errors.mean()), float(errors.std()), float(np.abs(errors).mean())
     # A model value far enough from its label overflows an error or a statistic of them.
@@ -287,10 +289,7 @@ def evaluate(
         raise OverflowError(
             f"the error statistics are not finite: mean {mean}%, std {std}%, MAE {mae}%"
         )
-    exceedance = {
-        nl: int(np.sum((np.abs(errors) > threshold_pct) & (layers == nl)))
-        for nl in layer_counts
-    }
+    exceeding = np.bincount(index[np.abs(errors) > threshold_pct], minlength=len(counts))
     return FitReport(
         coefficients=coefficients,
         mean_error_pct=mean,
@@ -298,7 +297,7 @@ def evaluate(
         mae_pct=mae,
         threshold_pct=threshold_pct,
         histogram=_histogram(errors, bin_width_pct),
-        exceedance_by_NL=exceedance,
+        exceedance_by_NL=dict(zip(counts, exceeding.tolist())),
         n_eval=len(samples),
     )
 

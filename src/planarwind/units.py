@@ -25,6 +25,15 @@ def uh_to_h(value_uh: float) -> float:
     return value_uh * 1e-6
 
 
+def fits_a_float(value) -> bool:
+    """Whether float() converts value; an int from about 2**1024 on overflows it."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def json_field(name: str, value, kind: str):
     """A field read from a JSON document, checked to be of a kind.
 
@@ -36,12 +45,9 @@ def json_field(name: str, value, kind: str):
     """
     numeric = {"number": numbers.Real, "integer": numbers.Integral}.get(kind)
     if numeric and isinstance(value, numeric) and not isinstance(value, bool):
-        try:
-            as_float = float(value)
-        except OverflowError:
-            raise ValueError(f"{name} must be a JSON {kind} in the float range, "
-                             f"got {value!r}") from None
-        return as_float if kind == "number" else value
+        if not fits_a_float(value):
+            raise ValueError(f"{name} must be a JSON {kind} in the float range, got {value!r}")
+        return float(value) if kind == "number" else value
     if kind == "list" and isinstance(value, (list, tuple)):
         return tuple(value)
     if kind == "object" and isinstance(value, Mapping):

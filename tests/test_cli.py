@@ -17,6 +17,8 @@ from planarwind import (
     CoefficientSet,
     GridSpec,
     OptimizationProblem,
+    Sample,
+    WindingGeometry,
     brute_force_max,
     dataset_a_spec,
     default_problem,
@@ -32,6 +34,7 @@ from planarwind import (
     write_geometry_csv,
 )
 from planarwind.cli import _Stager, build_parser, main
+from planarwind.dataset import CSV_HEADER
 
 
 def run(capsys, *argv):
@@ -747,6 +750,44 @@ def test_a_bin_width_whose_bin_edges_round_together_exits_3(capsys, tmp_path):
     assert (code, stdout) == (3, "")
     assert err.startswith("error: the error histogram has a bin ") and "--bin-width" in err
     assert not report.exists()
+
+
+def test_eval_keeps_a_layer_count_past_64_bits(capsys, tmp_path):
+    # a8 = a9 = 0: the model does not depend on N_L, so it stays finite at 2**63 layers.
+    coefficients = replace(DEFAULT_COEFFICIENTS, a8=0.0, a9=0.0)
+    c0 = tmp_path / "c0.json"
+    c0.write_text(json.dumps(coefficients.to_mapping()))
+    winding = WindingGeometry(0.1, 0.1, 0.005, 0.001, 5, 2 ** 63, 0.0016)
+    samples = tmp_path / "huge.csv"
+    write_csv([Sample(winding, 2.5e-6), Sample(winding, 2.6e-6)], samples)
+    report = tmp_path / "r.json"
+    code, _, err = run(capsys, "eval", "--in", str(samples), "--coeffs", str(c0),
+                       "--report", str(report))
+    assert (code, err) == (0, "")
+    written = json.loads(report.read_text())
+    errors = [(s.L_ref - inductance(s.geometry, coefficients)) / s.L_ref * 100.0
+              for s in read_csv(samples)]
+    assert abs(written["mae_pct"] - sum(map(abs, errors)) / len(errors)) <= 1e-12
+    assert list(written["exceedance_by_NL"]) == [str(2 ** 63)]
+
+
+@pytest.mark.parametrize("command", ["synth", "eval"])
+@pytest.mark.parametrize("column, field", [(6, "n_turns"), (7, "n_layers")])
+def test_a_count_past_the_float_range_in_a_csv_is_bad_input(capsys, tmp_path, command,
+                                                           column, field):
+    # The winding of TestEstimate.GOLDEN, one count replaced: as the flags and JSON reject it.
+    row = ["100.0000", "100.0000", "42.0000", "42.0000", "5.0000", "1.0000", "5", "4", "1.6000",
+           "2.5", "synthetic"]
+    row[column] = str(10 ** 400)
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join([",".join(CSV_HEADER), ",".join(row)]) + "\n")
+    out = tmp_path / "out"
+    flags = {"synth": ["--coeffs", "default", "--out"],
+             "eval": ["--coeffs", "default", "--report"]}[command]
+    code, stdout, err = run(capsys, command, "--in", str(path), *flags, str(out))
+    assert (code, stdout) == (3, "")
+    assert err == f"error: {path}:2: {field} must be in the float range, got {10 ** 400}\n"
+    assert not out.exists()
 
 
 class TestOneOutputStep:

@@ -837,6 +837,11 @@ def _row(**cells):
      "lengths must be positive and finite, got D=0.0, w=-0.0, s=0.0005"),
     ([_GOOD_ROW, _GOOD_ROW, _row(c0="-0", c8="0")], 4,
      "layer_gap must be positive and finite, got 0.0"),
+    # A count that float() cannot convert, as a flag or a JSON document may not give it.
+    pytest.param([_GOOD_ROW, _row(c7=str(10 ** 400))], 3,
+                 f"n_layers must be in the float range, got {10 ** 400}", id="N_L 10**400"),
+    pytest.param([_row(c6=str(10 ** 400))], 2,
+                 f"n_turns must be in the float range, got {10 ** 400}", id="N_T 10**400"),
 ])
 def test_errors_after_repeated_cells_equal_the_reference(tmp_path, rows, line, message):
     path = tmp_path / "samples.csv"

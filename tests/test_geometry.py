@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ def test_geometry_inner_side_golden_values():
     ((math.nan, 0.1, 0.004, 0.002, 0), GeometryError,
      "lengths must be positive and finite, got D=nan, w=0.004, s=0.002"),
     ((0.1, 0.1, 0.004, 0.002, 0), GeometryError, "n_turns must be >= 1, got 0"),
+    ((0.1, 0.1, 0.004, 0.002, 10 ** 400), GeometryError,
+     f"n_turns must be in the float range, got {10 ** 400}"),
     ((0.05, 0.1, 0.004, 0.002, 10), InfeasibleGeometryError,
      "10 turns of width 0.004 m at spacing 0.002 m do not fit inside D=0.05 m "
      "(inner side would be -0.066 m)"),
@@ -46,11 +49,26 @@ def test_geometry_inner_side_golden_values():
      "(inner side would be -0.066 m)"),
     ((0.1, math.inf, 0.004, 0.002, 5), GeometryError,
      "lengths must be positive and finite, got D=inf, w=0.004, s=0.002"),
-], ids=["D1", "w", "NaN D1", "n_turns", "d1", "d1 before D2", "D2"])
+], ids=["D1", "w", "NaN D1", "n_turns", "n_turns past the float range", "d1", "d1 before D2",
+        "D2"])
 def test_geometry_rejects_bad_sides_and_turns(args, error, message):
     with pytest.raises(error) as caught:
         WindingGeometry(*args, 1)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_geometry_takes_counts_that_float_converts():
+    # The largest float as an int converts; half an ulp more rounds to 2**1024, which overflows.
+    largest = int(sys.float_info.max)
+    assert WindingGeometry(0.1, 0.1, 0.004, 0.002, 5, largest, 0.001).n_layers == largest
+    for name, args in (("n_layers", (5, largest + 2 ** 970)), ("n_turns", (largest + 2 ** 970, 1))):
+        with pytest.raises(GeometryError) as caught:
+            WindingGeometry(0.1, 0.1, 0.004, 0.002, *args, 0.001)
+        assert type(caught.value) is GeometryError
+        assert str(caught.value) == f"{name} must be in the float range, got {largest + 2 ** 970}"
+    # A turn count that converts and does not fit is an infeasible winding, as before.
+    with pytest.raises(InfeasibleGeometryError):
+        WindingGeometry(0.1, 0.1, 0.004, 0.002, largest, 1)
 
 
 def test_geometry_derives_inner_sides():

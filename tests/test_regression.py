@@ -138,10 +138,36 @@ def test_design_matrix_equals_parent_rows_bit_for_bit(corpus):
     assert y.tobytes() == y_ref.tobytes()
 
 
-@pytest.mark.parametrize("corpus", ["AB", "mixed layers", "one row"])
+# The set the fixed corpora are evaluated with, other than the one that labels them.
+_EVALUATED = replace(DEFAULT_COEFFICIENTS, a8=1.7, a9=-0.02)
+
+
+def _relabeled(corpus, coefficients):
+    """The windings of a fixed corpus, labeled under coefficients with noise."""
+    geometries = [sample.geometry for sample in _labeled(corpus)]
+    return tuple(synth_labels(geometries, coefficients, 0.0086, 6)), coefficients
+
+
+def _in_range(samples, coefficients):
+    try:
+        for sample in samples:
+            inductance(sample.geometry, coefficients)
+    except OverflowError:
+        return False
+    return True
+
+
+@given(labeled_grids())
+@example((_labeled("AB"), _EVALUATED))
+@example((_labeled("mixed layers"), _EVALUATED))
+@example((_labeled("one row"), _EVALUATED))
+@example((_labeled("jittered"), _EVALUATED))
+# a9 = 0 keeps O ** (a9 * (N_L - 1)) finite at counts up to 3 * 2**70 + 1.
+@example(_relabeled("huge counts", replace(_EVALUATED, a9=0.0)))
 def test_streamed_columns_equal_the_column_lists_bit_for_bit(corpus):
-    samples = _labeled(corpus)
-    coefficients = replace(DEFAULT_COEFFICIENTS, a8=1.7, a9=-0.02)
+    samples, coefficients = corpus
+    # evaluate rejects a model value out of range, which the reference does not check.
+    assume(_in_range(samples, coefficients))
     for threshold, width in ((5.0, 0.5), (1.0, 0.1)):
         # JSON text, so that a float differing in sign or last bit differs too.
         report = evaluate(samples, coefficients, threshold, width).to_mapping()
