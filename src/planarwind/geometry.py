@@ -14,7 +14,7 @@ happens at file and CLI boundaries only (see :mod:`planarwind.units`).
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional
 
@@ -37,6 +37,26 @@ class IncompleteGeometryError(GeometryError):
     """A multilayer winding is missing its layer gap."""
 
 
+# The largest length a winding takes; inf, NaN and any longer int fail a chained comparison.
+_LARGEST = sys.float_info.max
+
+
+def _shown(value, form=str) -> str:
+    """form(value) for a message, or a placeholder where form raises ValueError.
+
+    str and repr raise it for an int of more digits than
+    ``sys.get_int_max_str_digits()``, 4300 by default.
+    """
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _lengths_message(D, w, s) -> str:
+    return f"lengths must be positive and finite, got D={_shown(D)}, w={_shown(w)}, s={_shown(s)}"
+
+
 def inner_side(D, n_turns, w, s):
     """Inner side D - 2*n_turns*(w+s) + 2*s, unvalidated; floats or arrays."""
     return D - 2.0 * n_turns * (w + s) + 2.0 * s
@@ -56,7 +76,7 @@ def is_integer(count) -> bool:
 def require_integer(name: str, count) -> None:
     """Raise GeometryError unless :func:`is_integer` accepts count."""
     if not is_integer(count):
-        raise GeometryError(f"{name} must be an integer, got {count!r}")
+        raise GeometryError(f"{name} must be an integer, got {_shown(count, repr)}")
 
 
 def frozen_slots(cls):
@@ -97,9 +117,12 @@ class WindingGeometry:
     ``d2`` (m) are read-only properties, derived by :func:`inner_side` on
     each access, so ``repr`` and ``dataclasses.fields`` do not list them.
 
-    Every length must be positive and finite; NaN and infinity raise
-    GeometryError, as does a count that is not an integer, a count below 1
-    or one that float() cannot convert (from about 2**1024 on).
+    Every length must be positive and at most the largest float; NaN,
+    infinity and a longer int raise GeometryError, as do int w and s whose
+    sum is longer, a count that is not an integer, a count below 1 or one
+    that float() cannot convert (from about 2**1024 on).  A message shows
+    a number too long for str, such as an int of over 4300 digits, by its
+    type alone.
     Turns that leave an inner side <= 0 raise InfeasibleGeometryError.
     """
 
@@ -116,12 +139,12 @@ class WindingGeometry:
         require_integer("n_turns", n_turns)
         require_integer("n_layers", n_layers)
         if n_layers < 1:
-            raise GeometryError(f"n_layers must be >= 1, got {n_layers}")
+            raise GeometryError(f"n_layers must be >= 1, got {_shown(n_layers)}")
         if not fits_a_float(n_layers):
-            raise GeometryError(f"n_layers must be in the float range, got {n_layers}")
+            raise GeometryError(f"n_layers must be in the float range, got {_shown(n_layers)}")
         if D1 > D2:
             raise OrientationError(
-                f"sides out of order: D1={D1} > D2={D2} "
+                f"sides out of order: D1={_shown(D1)} > D2={_shown(D2)} "
                 f"(swap them, or use canonicalize())"
             )
         if n_layers == 1:
@@ -130,20 +153,25 @@ class WindingGeometry:
             gap = self.layer_gap
             if gap is None:
                 raise IncompleteGeometryError(f"layer_gap is required for n_layers={n_layers}")
-            if not 0.0 < gap < math.inf:
-                raise GeometryError(f"layer_gap must be positive and finite, got {gap}")
-        # Chained comparisons are False for NaN, so NaN fails too.
-        if not (0.0 < D1 < math.inf and 0.0 < w < math.inf and 0.0 < s < math.inf):
-            raise GeometryError(f"lengths must be positive and finite, got D={D1}, w={w}, s={s}")
+            if not 0.0 < gap <= _LARGEST:
+                raise GeometryError(f"layer_gap must be positive and finite, got {_shown(gap)}")
+        if not (0.0 < D1 <= _LARGEST and 0.0 < w <= _LARGEST and 0.0 < s <= _LARGEST):
+            raise GeometryError(_lengths_message(D1, w, s))
         if n_turns < 1:
-            raise GeometryError(f"n_turns must be >= 1, got {n_turns}")
+            raise GeometryError(f"n_turns must be >= 1, got {_shown(n_turns)}")
         if not fits_a_float(n_turns):
-            raise GeometryError(f"n_turns must be in the float range, got {n_turns}")
+            raise GeometryError(f"n_turns must be in the float range, got {_shown(n_turns)}")
         # D2 is checked after d1, so a D1 whose turns do not fit is named first.
         for D in (D1, D2):
-            if not 0.0 < D < math.inf:
-                raise GeometryError(f"lengths must be positive and finite, got D={D}, w={w}, s={s}")
-            d = inner_side(D, n_turns, w, s)
+            if not 0.0 < D <= _LARGEST:
+                raise GeometryError(_lengths_message(D, w, s))
+            try:
+                d = inner_side(D, n_turns, w, s)
+            except OverflowError:
+                # w and s are ints, each in the float range, whose sum is not.
+                raise GeometryError(
+                    f"w + s must be in the float range, got w={w}, s={s}"
+                ) from None
             if d <= 0.0:
                 raise InfeasibleGeometryError(
                     f"{n_turns} turns of width {w} m at spacing {s} m do not fit "

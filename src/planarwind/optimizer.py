@@ -296,20 +296,24 @@ def _box(problem: OptimizationProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _objective(problem: OptimizationProblem, nt: int):
-    """The value and the exact gradient of -log10 L at x = (D1, D2, w, s)."""
+    """The value and the exact gradient of -log10 L at x = (D1, D2, w, s).
+
+    Both are evaluated only at points inside the box: SLSQP clips every
+    point it hands them to its bounds, whose lower ends are positive.
+    """
     c = problem.coefficients
     # d(-log10 L) = -d(ln L) / ln 10.
     scale = -1.0 / math.log(10.0)
     dd_ds = -(2.0 * nt - 2.0)
 
-    def clamped(x):
-        # Clamps keep the value defined at infeasible iterates; the linear
-        # d constraints pull the solver back regardless.
-        D1, D2, w, s = (max(v, _TINY) for v in x)
+    def sides(x):
+        D1, D2, w, s = x
         return D1, D2, w, s, inner_side(D1, nt, w, s), inner_side(D2, nt, w, s)
 
     def negative_log_inductance(x):
-        D1, D2, w, s, raw1, raw2 = clamped(x)
+        D1, D2, w, s, raw1, raw2 = sides(x)
+        # Clamps keep the value defined where an inner side is <= 0, at an
+        # infeasible iterate; the linear d constraints pull the solver back.
         L = inductance_from_dims(
             D1, D2, max(raw1, _TINY), max(raw2, _TINY), w, s, nt,
             problem.n_layers, problem.layer_gap, coefficients=c,
@@ -319,21 +323,20 @@ def _objective(problem: OptimizationProblem, nt: int):
         return -math.log10(L) if L != 0.0 else math.inf
 
     def gradient(x):
-        D1, D2, w, s, raw1, raw2 = clamped(x)
+        D1, D2, w, s, raw1, raw2 = sides(x)
         # ln L = a1 ln D1 + a2 ln D2 + a3 ln(D1 + d1) + a4 ln(D2 + d2)
         # + a5 ln w + a6 ln s + const, where d_i follows D_i, w and s
-        # unless its clamp holds it at _TINY.  A clamped input has zero
-        # derivative, and so has everything that reaches x through it.
+        # unless its clamp holds it at _TINY, where its derivative is zero.
         m1 = c.a3 / (D1 + max(raw1, _TINY))
         m2 = c.a4 / (D2 + max(raw2, _TINY))
         k1 = m1 if raw1 > _TINY else 0.0
         k2 = m2 if raw2 > _TINY else 0.0
         inner = k1 + k2
         grad = np.array([
-            c.a1 / D1 + m1 + k1 if x[0] > _TINY else 0.0,
-            c.a2 / D2 + m2 + k2 if x[1] > _TINY else 0.0,
-            c.a5 / w - 2.0 * nt * inner if x[2] > _TINY else 0.0,
-            c.a6 / s + dd_ds * inner if x[3] > _TINY else 0.0,
+            c.a1 / D1 + m1 + k1,
+            c.a2 / D2 + m2 + k2,
+            c.a5 / w - 2.0 * nt * inner,
+            c.a6 / s + dd_ds * inner,
         ])
         return scale * grad
 
@@ -375,10 +378,12 @@ def _provably_empty(A: np.ndarray, floor: np.ndarray, lo: np.ndarray, hi: np.nda
         return bool(np.any(row_max < floor - 1e-12 * magnitude))
 
 
-def _better(value, point, best_value, best_point) -> bool:
-    if best_value is None or value > best_value:
-        return True
-    return value == best_value and point < best_point
+def _best_point(pairs) -> Optional[tuple]:
+    """The point of the best (value, (D1, D2, w, s, N_T)) pair, or None for none.
+
+    The pick rule of both searches: the highest value, then the lowest point, then the first.
+    """
+    return min(pairs, key=lambda pair: (-pair[0], pair[1]), default=(None, None))[1]
 
 
 def _result(problem: OptimizationProblem, best_point, records) -> OptimizationResult:
@@ -476,14 +481,15 @@ def maximize(
     are clipped to the box and checked exactly for feasibility.  A
     feasible one is scored as the best is, by :func:`inductance` on its
     :class:`WindingGeometry`, so an L outside (0, inf), an underflow to
-    0.0 included, raises OverflowError; the scores reduce to an incumbent
-    in a fixed order with a lexicographic tie-break, so the outcome does
-    not depend on evaluation order.
+    0.0 included, raises OverflowError.  The best is picked from the
+    scores by the one rule :func:`brute_force_max` also picks by: the
+    highest L, then the lexicographically lowest (D1, D2, w, s, N_T), so
+    the outcome does not depend on evaluation order.
 
     SLSQP gets exact derivatives: the gradient of -log10 L in closed form
-    (zero in any coordinate a _TINY clamp holds; at an iterate where L
-    underflows to 0.0 the value is +inf), and the constant matrix
-    of the linear constraints A x >= b on the inner sides and D1 < D2.
+    (at an iterate where L underflows to 0.0 the value is +inf), and the
+    constant matrix of the linear constraints A x >= b on the inner sides
+    and D1 < D2.
     Before its restarts, an N_T is skipped when some row of A x >= b
     misses its floor everywhere in the box, which proves that no point
     :func:`feasible` accepts exists at it.  A skipped N_T still logs one
@@ -536,11 +542,7 @@ def maximize(
                 # Joins every worker; after an error, searches not yet started never run.
                 pool.shutdown(cancel_futures=True)
     records = [record for part in found for record in part]
-    best_value = best_point = None
-    for r in records:
-        point = (*r.point, r.n_turns)
-        if r.feasible and _better(r.value, point, best_value, best_point):
-            best_value, best_point = r.value, point
+    best_point = _best_point((r.value, (*r.point, r.n_turns)) for r in records if r.feasible)
     return _result(problem, best_point, records)
 
 
@@ -627,11 +629,7 @@ def brute_force_max(
         n = int(np.argmin(x))
         return value, (float(x[n]), float(D2[j[n]]), float(w[k[n]]), float(s[m[n]]), nt)
 
-    best_value = None
-    best_point = None
-    for value, point in filter(None, map(best_at, problem.NT_domain)):
-        if _better(value, point, best_value, best_point):
-            best_value, best_point = value, point
+    best_point = _best_point(filter(None, map(best_at, problem.NT_domain)))
     if best_point is None:
         raise InfeasibleProblemError(
             "no feasible grid point in the box at this resolution"

@@ -25,7 +25,7 @@ from planarwind import (
 from planarwind import regression
 from planarwind.dataset import CSV_HEADER
 from planarwind.geometry import inner_side, meets_min_inner
-from planarwind.optimizer import _TINY, _axis, _better, _result, oracle_steps
+from planarwind.optimizer import _TINY, _axis, _result, oracle_steps
 from planarwind.units import h_to_uh, m_to_mm, mm_to_m, uh_to_h
 
 
@@ -301,6 +301,13 @@ def objective(problem, nt, x):
         coefficients=problem.coefficients,
     )
     return -math.log10(L)
+
+
+def _better(value, point, best_value, best_point):
+    """optimizer._better as of 48f6d3c: the comparator each search folded over its candidates."""
+    if best_value is None or value > best_value:
+        return True
+    return value == best_value and point < best_point
 
 
 def brute_force_max(problem, resolution=None):

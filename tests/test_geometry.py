@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,29 +32,56 @@ def test_geometry_inner_side_golden_values():
 
 # Each rejection of the sides and turns, in the order the constructor makes them.
 @pytest.mark.parametrize("args, error, message", [
-    ((-0.1, 0.1, 0.004, 0.002, 5), GeometryError,
+    ((-0.1, 0.1, 0.004, 0.002, 5, 1), GeometryError,
      "lengths must be positive and finite, got D=-0.1, w=0.004, s=0.002"),
-    ((0.1, 0.1, 0.0, 0.002, 5), GeometryError,
+    ((0.1, 0.1, 0.0, 0.002, 5, 1), GeometryError,
      "lengths must be positive and finite, got D=0.1, w=0.0, s=0.002"),
-    ((math.nan, 0.1, 0.004, 0.002, 0), GeometryError,
+    ((math.nan, 0.1, 0.004, 0.002, 0, 1), GeometryError,
      "lengths must be positive and finite, got D=nan, w=0.004, s=0.002"),
-    ((0.1, 0.1, 0.004, 0.002, 0), GeometryError, "n_turns must be >= 1, got 0"),
-    ((0.1, 0.1, 0.004, 0.002, 10 ** 400), GeometryError,
+    ((0.1, 0.1, 0.004, 0.002, 0, 1), GeometryError, "n_turns must be >= 1, got 0"),
+    ((0.1, 0.1, 0.004, 0.002, 10 ** 400, 1), GeometryError,
      f"n_turns must be in the float range, got {10 ** 400}"),
-    ((0.05, 0.1, 0.004, 0.002, 10), InfeasibleGeometryError,
+    ((0.05, 0.1, 0.004, 0.002, 10, 1), InfeasibleGeometryError,
      "10 turns of width 0.004 m at spacing 0.002 m do not fit inside D=0.05 m "
      "(inner side would be -0.066 m)"),
     # A D1 whose turns do not fit is named before a D2 that is NaN.
-    ((0.05, math.nan, 0.004, 0.002, 10), InfeasibleGeometryError,
+    ((0.05, math.nan, 0.004, 0.002, 10, 1), InfeasibleGeometryError,
      "10 turns of width 0.004 m at spacing 0.002 m do not fit inside D=0.05 m "
      "(inner side would be -0.066 m)"),
-    ((0.1, math.inf, 0.004, 0.002, 5), GeometryError,
+    ((0.1, math.inf, 0.004, 0.002, 5, 1), GeometryError,
      "lengths must be positive and finite, got D=inf, w=0.004, s=0.002"),
+    # Numbers that no float holds, or that str cannot print (past 4300 digits).
+    ((0.1, 0.1, 0.004, 0.002, 10 ** 5000, 1), GeometryError,
+     "n_turns must be in the float range, got <int too long to print>"),
+    ((0.1, 0.1, 0.004, 0.002, -10 ** 5000, 1), GeometryError,
+     "n_turns must be >= 1, got <int too long to print>"),
+    ((0.1, 0.1, 0.004, 0.002, 5, 10 ** 5000, 0.001), GeometryError,
+     "n_layers must be in the float range, got <int too long to print>"),
+    ((0.1, 0.1, 0.004, 0.002, 5, -10 ** 5000), GeometryError,
+     "n_layers must be >= 1, got <int too long to print>"),
+    ((0.1, 0.1, 0.004, 0.002, Fraction(10 ** 5000, 3), 1), GeometryError,
+     "n_turns must be an integer, got <Fraction too long to print>"),
+    ((10 ** 5000, 0.1, 0.004, 0.002, 5, 1), OrientationError,
+     "sides out of order: D1=<int too long to print> > D2=0.1 "
+     "(swap them, or use canonicalize())"),
+    ((0.1, 0.1, 0.004, 0.002, 5, 2, 10 ** 400), GeometryError,
+     f"layer_gap must be positive and finite, got {10 ** 400}"),
+    ((0.1, 0.1, 10 ** 400, 0.002, 5, 1), GeometryError,
+     f"lengths must be positive and finite, got D=0.1, w={10 ** 400}, s=0.002"),
+    ((0.1, 10 ** 400, 0.004, 0.002, 5, 1), GeometryError,
+     f"lengths must be positive and finite, got D={10 ** 400}, w=0.004, s=0.002"),
+    ((10 ** 5000, 10 ** 5001, 0.004, 0.002, 5, 1), GeometryError,
+     "lengths must be positive and finite, got D=<int too long to print>, w=0.004, s=0.002"),
+    ((0.1, 0.1, 10 ** 308, 10 ** 308, 5, 1), GeometryError,
+     f"w + s must be in the float range, got w={10 ** 308}, s={10 ** 308}"),
 ], ids=["D1", "w", "NaN D1", "n_turns", "n_turns past the float range", "d1", "d1 before D2",
-        "D2"])
+        "D2", "n_turns of 5001 digits", "n_turns of -5001 digits", "n_layers of 5001 digits",
+        "n_layers of -5001 digits", "Fraction n_turns of 5001 digits", "D1 of 5001 digits",
+        "layer_gap past the float range", "w past the float range",
+        "D2 past the float range", "D1 and D2 of 5001 digits", "w + s past the float range"])
 def test_geometry_rejects_bad_sides_and_turns(args, error, message):
     with pytest.raises(error) as caught:
-        WindingGeometry(*args, 1)
+        WindingGeometry(*args)
     assert type(caught.value) is error and str(caught.value) == message
 
 
